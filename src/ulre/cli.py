@@ -426,9 +426,10 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
     scores = np.concatenate(all_scores)
     labels = np.concatenate(all_labels)
     try:
+        ap, fpr95 = metrics.ap_and_fpr95(scores, labels)
         payload = {
-            "ap": metrics.average_precision(scores, labels),
-            "fpr95": metrics.fpr_at_95_tpr(scores, labels),
+            "ap": ap,
+            "fpr95": fpr95,
             "n_pos": int(labels.sum()),
             "n_neg": int(len(labels) - labels.sum()),
         }
@@ -439,8 +440,7 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
         for spath, s, lab in per_file:
             entry = {"scores_file": str(spath)}
             if 0 < lab.sum() < len(lab):
-                entry["ap"] = metrics.average_precision(s, lab)
-                entry["fpr95"] = metrics.fpr_at_95_tpr(s, lab)
+                entry["ap"], entry["fpr95"] = metrics.ap_and_fpr95(s, lab)
             breakdown.append(entry)
         payload["per_file"] = breakdown
     _write_json(out_dir / "metrics.json", payload)

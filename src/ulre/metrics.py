@@ -16,6 +16,7 @@ from .numkernel import gaussian_blur, upsample_bilinear
 __all__ = [
     "BinnedAnalysis",
     "postprocess_scores",
+    "ap_and_fpr95",
     "average_precision",
     "fpr_at_95_tpr",
     "cosine_distance",
@@ -70,18 +71,25 @@ def _threshold_counts(s: np.ndarray, y: np.ndarray):
     return s_sorted[cut], tp, fp
 
 
+def ap_and_fpr95(scores, labels, tpr_target: float = 0.95) -> tuple[float, float]:
+    """`(average_precision, fpr_at_95_tpr)` from one validation and one sort."""
+    s, y, n_pos, n_neg = _validate_scores_labels(scores, labels)
+    _, tp, fp = _threshold_counts(s, y)
+    precision = tp / (tp + fp)
+    recall = tp / n_pos
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    ap = float(((recall - prev_recall) * precision).sum())
+    fpr = fp / n_neg
+    return ap, float(fpr[recall >= tpr_target].min())
+
+
 def average_precision(scores, labels) -> float:
     """Non-interpolated average precision over all score thresholds.
 
     AP = sum_n (R_n - R_{n-1}) * P_n with thresholds descending through the
     distinct score values (ties share a threshold).
     """
-    s, y, n_pos, _ = _validate_scores_labels(scores, labels)
-    _, tp, fp = _threshold_counts(s, y)
-    precision = tp / (tp + fp)
-    recall = tp / n_pos
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - prev_recall) * precision).sum())
+    return ap_and_fpr95(scores, labels)[0]
 
 
 def fpr_at_95_tpr(scores, labels, tpr_target: float = 0.95) -> float:
@@ -91,11 +99,7 @@ def fpr_at_95_tpr(scores, labels, tpr_target: float = 0.95) -> float:
     atomically. A threshold at the minimum score always reaches TPR = 1, so
     the operating set is never empty.
     """
-    s, y, n_pos, n_neg = _validate_scores_labels(scores, labels)
-    _, tp, fp = _threshold_counts(s, y)
-    tpr = tp / n_pos
-    fpr = fp / n_neg
-    return float(fpr[tpr >= tpr_target].min())
+    return ap_and_fpr95(scores, labels, tpr_target)[1]
 
 
 def cosine_distance(x, mu) -> float:

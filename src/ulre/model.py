@@ -33,6 +33,17 @@ __all__ = [
 
 HEAD_WIDTHS = {"evidential": 2, "sigmoid": 1}
 CHECKPOINT_FORMAT_VERSION = 1
+# The most rows in one part of a forward pass, and the row multiple that
+# every part boundary falls on. Both are part of the byte contract, because
+# a matmul's result bits can depend on its row count. With OpenBLAS, parts of
+# a few thousand rows take a path that differs from one whole-map call by up
+# to 3.1e-15 in most rows, and a one-column matmul (the sigmoid head's last
+# layer) computes the rows past the last multiple of 4 with another kernel.
+# So `forward` cuts near-equal parts of more than 8,000 rows on multiples of
+# 64 rows, never a short tail part. 16,384 rows bound the widest activation
+# of a 256-wide layer at 32 MiB.
+_FORWARD_ROWS = 16_384
+_FORWARD_ALIGN = 64
 
 
 class TrainingDivergedError(RuntimeError):
@@ -84,17 +95,9 @@ class TrainReport:
     n_val: int = 0
 
 
-def _check_head(head: str) -> None:
+def _check_architecture(dims: list[int], head: str, slope: float) -> None:
     if head not in HEAD_WIDTHS:
         raise ValueError(f"unknown head kind: {head!r}")
-
-
-def init_model(
-    layer_dims, seed: int, head: str = "evidential", slope: float = 0.01
-) -> Estimator:
-    """Seeded fan-in-scaled uniform init: W ~ U(-sqrt(6/fan_in), +...), b = 0."""
-    dims = [int(d) for d in layer_dims]
-    _check_head(head)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"invalid layer dims: {dims}")
     if dims[-1] != HEAD_WIDTHS[head]:
@@ -102,6 +105,17 @@ def init_model(
             f"final width {dims[-1]} incompatible with head {head!r} "
             f"(needs {HEAD_WIDTHS[head]})"
         )
+    # the activation kernels compute leaky ReLU as max(z, slope * z)
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky-ReLU slope must lie in [0, 1], got {slope!r}")
+
+
+def init_model(
+    layer_dims, seed: int, head: str = "evidential", slope: float = 0.01
+) -> Estimator:
+    """Seeded fan-in-scaled uniform init: W ~ U(-sqrt(6/fan_in), +...), b = 0."""
+    dims = [int(d) for d in layer_dims]
+    _check_architecture(dims, head, slope)
     rng = Rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -113,11 +127,11 @@ def init_model(
 
 
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0.0, z, slope * z)
+    return np.maximum(z, slope * z)
 
 
 def _leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0.0, 1.0, slope)
+    return (z > 0.0) * (1.0 - slope) + slope
 
 
 def _forward_cached(model: Estimator, x: np.ndarray):
@@ -133,15 +147,40 @@ def _forward_cached(model: Estimator, x: np.ndarray):
     return acts, pres
 
 
+def _forward_rows(model: Estimator, x: np.ndarray) -> np.ndarray:
+    """Logits of one part, keeping only the current layer's activations."""
+    h = x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w
+        z += b
+        if i < last:
+            np.maximum(z, model.slope * z, out=z)
+        h = z
+    return h
+
+
 def forward(model: Estimator, features) -> np.ndarray:
-    """Row-wise logits for an (N, D) batch of feature vectors."""
+    """Row-wise logits for an (N, D) batch of feature vectors.
+
+    More than _FORWARD_ROWS rows are split into near-equal parts of at most
+    _FORWARD_ROWS rows each, which bounds the activations held at once.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
         raise ValueError(
             f"forward: expected (N, {model.layer_dims[0]}) input, got {x.shape}"
         )
-    acts, _ = _forward_cached(model, x)
-    return acts[-1]
+    n = x.shape[0]
+    if n <= _FORWARD_ROWS:
+        return _forward_rows(model, x)
+    blocks = -(-n // _FORWARD_ALIGN)
+    parts = -(-blocks // (_FORWARD_ROWS // _FORWARD_ALIGN))
+    bounds = [min(n, i * blocks // parts * _FORWARD_ALIGN) for i in range(parts + 1)]
+    logits = np.empty((n, model.layer_dims[-1]))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        logits[start:stop] = _forward_rows(model, x[start:stop])
+    return logits
 
 
 def _backward(model: Estimator, acts, pres, dlogits):
@@ -355,14 +394,24 @@ def load_model(path) -> Estimator:
         header = json.loads(bytes(records["header"]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header must be a JSON object")
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint format version "
             f"{header.get('format_version')!r}"
         )
-    dims = [int(d) for d in header["layer_dims"]]
-    head = header["head"]
-    _check_head(head)
+    dims, head, slope = (header.get(k) for k in ("layer_dims", "head", "slope"))
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise DataError(f"{path}: checkpoint 'layer_dims' must be a list of integers")
+    if not isinstance(head, str):
+        raise DataError(f"{path}: checkpoint 'head' must be a string")
+    if type(slope) not in (int, float):
+        raise DataError(f"{path}: checkpoint 'slope' must be a number")
+    try:
+        _check_architecture(dims, head, slope)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         for key, shape, store in (
@@ -378,4 +427,4 @@ def load_model(path) -> Estimator:
                     f"expected {shape}"
                 )
             store.append(np.asarray(arr, dtype=np.float64))
-    return Estimator(dims, weights, biases, slope=float(header["slope"]), head=head)
+    return Estimator(dims, weights, biases, slope=float(slope), head=head)

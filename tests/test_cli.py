@@ -129,6 +129,37 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 4
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {k: v for k, v in h.items() if k != "layer_dims"},
+            lambda h: {k: v for k, v in h.items() if k != "head"},
+            lambda h: {k: v for k, v in h.items() if k != "slope"},
+            lambda h: list(h.values()),
+            lambda h: {**h, "layer_dims": 4},
+            lambda h: {**h, "layer_dims": [4, "8", 2]},
+            lambda h: {**h, "head": ["evidential"]},
+            lambda h: {**h, "slope": "0.01"},
+            lambda h: {**h, "slope": 2.0},
+        ],
+        ids=[
+            "no_layer_dims", "no_head", "no_slope", "list_header", "layer_dims_int",
+            "layer_dims_str_entry", "head_list", "slope_str", "slope_range",
+        ],
+    )
+    def test_malformed_checkpoint_header_is_3(self, tmp_path, capsys, edit):
+        ckpt = tmp_path / "model.ulre"
+        mdl.save_model(ckpt, mdl.init_model([4, 8, 2], seed=0))
+        records = read_tensor_file(ckpt)
+        header = edit(json.loads(bytes(records["header"])))
+        records["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        write_tensor_file(ckpt, records)
+        feat = tmp_path / "f.ulre"
+        write_tensor_file(feat, {"features": np.zeros((4, 4, 4))})
+        cfg = write_config(tmp_path / "c.cfg", checkpoint=str(ckpt), features=str(feat))
+        assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "data error:" in capsys.readouterr().err
+
     def test_success_is_0(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.cfg", n_scenes=1, height=8, width=8, dim=3, n_classes=2,

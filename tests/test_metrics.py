@@ -6,6 +6,7 @@ import pytest
 from ulre.data import DataError, class_means
 from ulre.metrics import (
     BinnedAnalysis,
+    ap_and_fpr95,
     average_precision,
     binned_csv,
     cosine_distance,
@@ -134,6 +135,17 @@ class TestFprAt95Tpr:
         lowered = scores.copy()
         lowered[neg_idx] -= 0.5
         assert fpr_at_95_tpr(lowered, labels) <= base
+
+
+def test_ap_and_fpr95_equal_separate_metrics_on_ties():
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 2, 500)
+    scores = rng.integers(0, 7, 500) / 3.0
+    ap, fpr95 = ap_and_fpr95(scores, labels)
+    assert ap == average_precision(scores, labels)
+    assert fpr95 == fpr_at_95_tpr(scores, labels)
+    assert ap == pytest.approx(brute_force_ap(scores, labels), abs=1e-12)
+    assert fpr95 == pytest.approx(brute_force_fpr95(scores, labels), abs=1e-12)
 
 
 class TestPostprocess:

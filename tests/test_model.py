@@ -1,5 +1,7 @@
 """Estimator network: init, forward, backprop, Adam, training, inference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,8 @@ class TestInit:
             mdl.init_model([4, 0, 2], seed=0)
         with pytest.raises(ValueError):
             mdl.init_model([4, 8, 2], seed=0, head="softmax")
+        with pytest.raises(ValueError, match="slope"):
+            mdl.init_model([4, 8, 2], seed=0, slope=1.5)
 
 
 class TestForward:
@@ -90,6 +94,34 @@ class TestForward:
         m = mdl.init_model([4, 8, 2], seed=8)
         with pytest.raises(ValueError):
             mdl.forward(m, np.zeros((3, 5)))
+
+    # The sigmoid head's one-column last layer computes the rows past the
+    # last multiple of 4 with another kernel, so part boundaries must be
+    # aligned; its row count also keeps a two-thread single pass aligned.
+    @pytest.mark.parametrize(
+        "dims,head,extra_rows",
+        [([16, 256, 64, 2], "evidential", 100), ([16, 256, 64, 1], "sigmoid", 128)],
+    )
+    def test_split_forward_matches_single_pass(self, dims, head, extra_rows):
+        m = mdl.init_model(dims, seed=12, head=head)
+        n = 2 * mdl._FORWARD_ROWS + extra_rows
+        x = np.random.default_rng(13).normal(size=(n, 16))
+        np.testing.assert_array_equal(
+            mdl.forward(m, x), mdl._forward_cached(m, x)[0][-1]
+        )
+
+    def test_activation_kernels_match_where_forms(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        z = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+             3 * tiny, -3 * tiny, 1e-310, -1e-310, 1.5, -2.5, 1e308, -1e308]
+        )
+        slope = 0.01
+        for got, want in (
+            (mdl._leaky(z, slope), np.where(z > 0.0, z, slope * z)),
+            (mdl._leaky_grad(z, slope), np.where(z > 0.0, 1.0, slope)),
+        ):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBackprop:
@@ -254,6 +286,18 @@ class TestPredictMap:
         m = mdl.init_model([3, 6, 2], seed=30)
         with pytest.raises(ValueError):
             mdl.predict_map(m, np.zeros((4, 4, 5)))
+
+    def test_peak_memory_is_bounded(self):
+        # 16,384-row parts; one pass over all 65,536 rows peaks near 400 MiB
+        m = mdl.init_model([16, 256, 64, 2], seed=33)
+        fmap = np.random.default_rng(34).normal(size=(256, 256, 16))
+        tracemalloc.start()
+        try:
+            mdl.predict_map(m, fmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
 
 class TestCheckpointIo:
