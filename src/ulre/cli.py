@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -68,6 +69,18 @@ def _parse_ints(text: str) -> list[int]:
 
 # key -> (converter, default); required keys carry the REQUIRED sentinel
 REQUIRED = object()
+# the TrainConfig fields that a train config sets, parsed by their default's type
+_TRAIN_KEYS = (
+    "head",
+    "epochs",
+    "learning_rate",
+    "batch_size",
+    "seed",
+    "early_stopping",
+    "patience",
+    "val_fraction",
+)
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
 
 SCHEMAS: dict[str, dict] = {
     "toy-gaussian": {
@@ -88,15 +101,12 @@ SCHEMAS: dict[str, dict] = {
     "train": {
         "features": (_parse_paths, REQUIRED),
         "labels": (_parse_paths, REQUIRED),
-        "head": (str, "evidential"),
         "hidden_dims": (_parse_ints, [256, 64]),
-        "epochs": (int, 10),
-        "learning_rate": (float, 2e-5),
-        "batch_size": (int, 1024),
-        "seed": (int, 0),
-        "early_stopping": (_parse_bool, False),
-        "patience": (int, 5),
-        "val_fraction": (float, 0.1),
+        **{
+            f.name: (_PARSERS[type(f.default)], f.default)
+            for f in dataclasses.fields(mdl.TrainConfig)
+            if f.name in _TRAIN_KEYS
+        },
     },
     "score": {
         "checkpoint": (str, REQUIRED),
@@ -347,16 +357,9 @@ def cmd_train(resolved: dict, out_dir: Path) -> list[str]:
     if head not in mdl.HEAD_WIDTHS:
         raise ConfigError(f"unknown head: {head!r}")
     dims = [dim, *resolved["hidden_dims"], mdl.HEAD_WIDTHS[head]]
-    cfg = mdl.TrainConfig(
-        epochs=resolved["epochs"],
-        learning_rate=resolved["learning_rate"],
-        batch_size=resolved["batch_size"],
-        seed=resolved["seed"] + 1,
-        head=head,
-        early_stopping=resolved["early_stopping"],
-        patience=resolved["patience"],
-        val_fraction=resolved["val_fraction"],
-    )
+    settings = {key: resolved[key] for key in _TRAIN_KEYS}
+    settings["seed"] += 1  # resolved["seed"] seeds the initial weights
+    cfg = mdl.TrainConfig(**settings)
     model, report = mdl.train(
         mdl.init_model(dims, resolved["seed"], head), x, y, cfg
     )

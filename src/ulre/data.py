@@ -166,15 +166,6 @@ def analytic_gaussian_lr(x, mu0: float, mu1: float):
     return np.exp((mu1 - mu0) * x + (mu0**2 - mu1**2) / 2.0)
 
 
-def _resize_values(raster: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    if raster.ndim == 2:
-        return upsample_bilinear(raster, out_h, out_w)
-    out = np.empty((out_h, out_w, raster.shape[2]), dtype=np.float64)
-    for c in range(raster.shape[2]):
-        out[:, :, c] = upsample_bilinear(raster[:, :, c], out_h, out_w)
-    return out
-
-
 def anomaly_mix(
     target,
     obj,
@@ -221,7 +212,7 @@ def anomaly_mix(
         mask_r = resize_nearest(mask, new_h, new_w)
         if mask_r.sum() == 0:
             continue
-        obj_r = _resize_values(obj, new_h, new_w)
+        obj_r = upsample_bilinear(obj, new_h, new_w)
         top = int(rng.integers(1, th - new_h + 1)[0])
         left = int(rng.integers(1, tw - new_w + 1)[0])
         out = target.copy()

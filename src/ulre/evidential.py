@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import digamma, lgamma, trigamma
+from .numkernel import digamma, lgamma
 
 __all__ = [
     "LOGIT_CLAMP",
@@ -132,17 +132,34 @@ def dirichlet_kl_to_uniform(alpha_tilde) -> np.ndarray:
     return head - np.asarray(lgamma(alpha_tilde)).sum(axis=-1) + term.sum(axis=-1)
 
 
+def _wrong_class_concentration(alpha, y, name: str) -> np.ndarray:
+    """b = ((1 - y) * alpha).sum(-1), keeping the class axis as length 1.
+
+    With one-hot y the regulariser's alpha_tilde = y + (1 - y) * alpha is
+    (1, b) up to class order, which makes its KL and gradient elementary.
+    """
+    if y.shape[-1:] != (2,) or not (
+        ((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=-1) == 1.0).all()
+    ):
+        raise ValueError(f"{name}: labels must be one-hot rows of length 2")
+    return ((1.0 - y) * alpha).sum(axis=-1, keepdims=True)
+
+
 def edl_kl_reg(alpha, y) -> np.ndarray:
     """Evidence regularizer: KL to uniform after removing correct evidence.
 
     alpha_tilde = y + (1 - y) * alpha, i.e. the correct-class entry is
-    forced to 1 and the incorrect-class entry keeps its concentration.
-    Nonnegative; zero exactly when alpha_tilde = (1, 1).
+    forced to 1 and the incorrect-class entry b keeps its concentration.
+    For one-hot y, KL(Beta(1, b) || U) = ln b - 1 + 1/b (Sensoy et al.,
+    2018); other labels raise ValueError. Nonnegative; zero exactly when
+    alpha_tilde = (1, 1).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    alpha_tilde = y + (1.0 - y) * alpha
-    return np.maximum(dirichlet_kl_to_uniform(alpha_tilde), 0.0)
+    b = _wrong_class_concentration(alpha, y, "edl_kl_reg")[..., 0]
+    if not (np.isfinite(b) & (b > 0.0)).all():
+        raise ValueError("edl_kl_reg: concentrations must be finite and positive")
+    return np.maximum(np.log(b) - 1.0 + 1.0 / b, 0.0)
 
 
 def edl_total_loss(alpha, y, epoch: int) -> LossBreakdown:
@@ -157,7 +174,10 @@ def edl_loss_grad(o, y, epoch: int) -> np.ndarray:
     """d(total loss)/d(logits), elementwise over (..., 2) logit rows.
 
     Chain rule through e = exp(clamp(o)) and alpha = e + 1; zero outside the
-    clamp range. Matches central finite differences away from the clamp.
+    clamp range. For one-hot y the KL term's derivative is
+    dKL/db = (b - 1)/b^2 on the incorrect class and 0 on the correct one;
+    other labels raise ValueError. Matches central finite differences away
+    from the clamp.
     """
     o = np.asarray(o, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -166,12 +186,8 @@ def edl_loss_grad(o, y, epoch: int) -> np.ndarray:
     alpha = e + 1.0
     s = alpha.sum(axis=-1, keepdims=True)
     dlog = 1.0 / s - y / alpha
-    alpha_tilde = y + (1.0 - y) * alpha
-    s_tilde = alpha_tilde.sum(axis=-1, keepdims=True)
-    dkl_datilde = (alpha_tilde - 1.0) * trigamma(alpha_tilde) - trigamma(
-        s_tilde
-    ) * (s_tilde - 2.0)
-    dkl = (1.0 - y) * dkl_datilde
+    b = _wrong_class_concentration(alpha, y, "edl_loss_grad")
+    dkl = (1.0 - y) * ((b - 1.0) / (b * b))
     passthrough = (np.abs(o) <= LOGIT_CLAMP).astype(np.float64)
     return e * (dlog + lam * dkl) * passthrough
 

@@ -126,25 +126,18 @@ def init_model(
     return Estimator(dims, weights, biases, slope=slope, head=head)
 
 
-def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.maximum(z, slope * z)
+def _leaky(z: np.ndarray, slope: float, out=None) -> np.ndarray:
+    """max(z, slope * z), written into `out` (not z itself) when given."""
+    h = np.multiply(z, slope, out=out)
+    return np.maximum(z, h, out=h)
 
 
-def _leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    return (z > 0.0) * (1.0 - slope) + slope
-
-
-def _forward_cached(model: Estimator, x: np.ndarray):
-    acts = [x]
-    pres = []
-    h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        pres.append(z)
-        h = _leaky(z, model.slope) if i < last else z
-        acts.append(h)
-    return acts, pres
+def _leaky_grad(z: np.ndarray, slope: float, out=None) -> np.ndarray:
+    """The float mask (z > 0) * (1 - slope) + slope; `out` may be z."""
+    mask = np.greater(z, 0.0, out=out).astype(np.float64, copy=False)
+    mask *= 1.0 - slope
+    mask += slope
+    return mask
 
 
 def _forward_rows(model: Estimator, x: np.ndarray) -> np.ndarray:
@@ -183,42 +176,65 @@ def forward(model: Estimator, features) -> np.ndarray:
     return logits
 
 
-def _backward(model: Estimator, acts, pres, dlogits):
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    delta = dlogits
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * _leaky_grad(
-                pres[i - 1], model.slope
-            )
-    return grads_w, grads_b
+class _Step:
+    """Mean loss and parameter gradients of one mini-batch of up to `rows`
+    rows, computed in buffers allocated once.
+
+    Per hidden layer it keeps the pre-activation z and the activation h;
+    the backward pass turns z into the leaky-ReLU gradient mask and writes
+    the layer's delta over h once the weight gradient has read it. The
+    gradients returned by one call are overwritten by the next.
+    """
+
+    def __init__(self, model: Estimator, rows: int):
+        self.model = model
+        self.z = [np.empty((rows, d)) for d in model.layer_dims[1:]]
+        self.h = [np.empty((rows, d)) for d in model.layer_dims[1:-1]]
+        self.grads_w = [np.empty_like(w) for w in model.weights]
+        self.grads_b = [np.empty_like(b) for b in model.biases]
+
+    def __call__(self, xb, y_onehot, epoch: int):
+        model = self.model
+        slope = model.slope
+        n = xb.shape[0]
+        last = len(model.weights) - 1
+        h = xb
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = np.matmul(h, w, out=self.z[i][:n])
+            z += b
+            if i < last:
+                h = _leaky(z, slope, out=self.h[i][:n])
+        logits = z
+        if model.head == "evidential":
+            alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
+            parts = ev.edl_total_loss(alpha, y_onehot, epoch)
+            loss = float(np.mean(parts.total))
+            terms = {
+                "log_loss": float(np.mean(parts.log_loss)),
+                "kl_reg": float(np.mean(parts.kl_reg)),
+            }
+            delta = ev.edl_loss_grad(logits, y_onehot, epoch) / n
+        else:
+            z1 = logits[:, 0]
+            y1 = y_onehot[:, 1]
+            loss = float(np.mean(ev.bce_loss_from_logit(z1, y1)))
+            terms = {"bce": loss}
+            delta = (ev.bce_grad_from_logit(z1, y1) / n)[:, None]
+        for i in range(last, -1, -1):
+            h = self.h[i - 1][:n] if i > 0 else xb
+            np.matmul(h.T, delta, out=self.grads_w[i])
+            np.sum(delta, axis=0, out=self.grads_b[i])
+            if i > 0:
+                z = self.z[i - 1][:n]
+                mask = _leaky_grad(z, slope, out=z)
+                delta = np.matmul(delta, model.weights[i].T, out=h)
+                delta *= mask
+        return loss, terms, self.grads_w, self.grads_b
 
 
 def _batch_loss_grads(model: Estimator, xb, y_onehot, epoch: int):
     """Mean loss over the batch, its term breakdown, and parameter grads."""
-    acts, pres = _forward_cached(model, xb)
-    logits = acts[-1]
-    n = xb.shape[0]
-    if model.head == "evidential":
-        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
-        parts = ev.edl_total_loss(alpha, y_onehot, epoch)
-        loss = float(np.mean(parts.total))
-        terms = {
-            "log_loss": float(np.mean(parts.log_loss)),
-            "kl_reg": float(np.mean(parts.kl_reg)),
-        }
-        dlogits = ev.edl_loss_grad(logits, y_onehot, epoch) / n
-    else:
-        z = logits[:, 0]
-        y1 = y_onehot[:, 1]
-        loss = float(np.mean(ev.bce_loss_from_logit(z, y1)))
-        terms = {"bce": loss}
-        dlogits = (ev.bce_grad_from_logit(z, y1) / n)[:, None]
-    grads_w, grads_b = _backward(model, acts, pres, dlogits)
-    return loss, terms, grads_w, grads_b
+    return _Step(model, xb.shape[0])(xb, y_onehot, epoch)
 
 
 def _fit_loss(model: Estimator, x, y_onehot) -> float:
@@ -236,24 +252,36 @@ def _fit_loss(model: Estimator, x, y_onehot) -> float:
 
 class _Adam:
     def __init__(self, model: Estimator, cfg: TrainConfig):
-        self.m = [np.zeros_like(p) for p in model.weights + model.biases]
-        self.v = [np.zeros_like(p) for p in model.weights + model.biases]
+        params = model.weights + model.biases
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
         self.cfg = cfg
 
     def step(self, model: Estimator, grads_w, grads_b) -> None:
+        """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), evaluated in place
+        in the order that expression gives."""
         self.t += 1
         cfg = self.cfg
         params = model.weights + model.biases
         grads = grads_w + grads_b
         bc1 = 1.0 - cfg.beta1**self.t
         bc2 = 1.0 - cfg.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (s, r) in zip(params, grads, self.m, self.v, self.scratch):
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += np.multiply(g, 1.0 - cfg.beta1, out=s)
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            np.multiply(g, 1.0 - cfg.beta2, out=s)
+            s *= g
+            v += s
+            np.divide(m, bc1, out=s)
+            s *= cfg.learning_rate
+            np.divide(v, bc2, out=r)
+            np.sqrt(r, out=r)
+            r += cfg.adam_eps
+            s /= r
+            p -= s
 
 
 def train(model: Estimator, features, labels, cfg: TrainConfig):
@@ -288,17 +316,16 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
         split = rng.permutation(n)
         n_val = max(1, int(round(n * cfg.val_fraction)))
         val_idx, train_idx = split[:n_val], split[n_val:]
+        x_train, y_train = x[train_idx], y_onehot[train_idx]
+        x_val, y_val = x[val_idx], y_onehot[val_idx]
     else:
         n_val = 0
-        val_idx = np.empty(0, dtype=np.intp)
-        train_idx = np.arange(n, dtype=np.intp)
-
-    x_train, y_train = x[train_idx], y_onehot[train_idx]
-    x_val, y_val = x[val_idx], y_onehot[val_idx]
+        x_train, y_train = x, y_onehot
     n_train = x_train.shape[0]
 
     report = TrainReport(n_train=n_train, n_val=n_val)
     opt = _Adam(model, cfg)
+    step = _Step(model, cfg.batch_size)
     best_val = np.inf
     best_params: Estimator | None = None
     since_best = 0
@@ -308,9 +335,7 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, terms, gw, gb = _batch_loss_grads(
-                model, x_train[batch], y_train[batch], epoch
-            )
+            loss, terms, gw, gb = step(x_train[batch], y_train[batch], epoch)
             if not np.isfinite(loss):
                 detail = ", ".join(f"{k}={val:.6g}" for k, val in terms.items())
                 raise TrainingDivergedError(

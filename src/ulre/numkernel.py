@@ -194,20 +194,23 @@ def _source_coords(n_out: int, n_in: int):
 
 
 def upsample_bilinear(map2d, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of a 2-D map with half-pixel-center coordinates.
+    """Bilinear resize of an (H, W) or (H, W, C) map with half-pixel-center
+    coordinates, along the two leading axes.
 
     Exact identity when the output shape equals the input shape. Works for
-    both up- and down-scaling.
+    both up- and down-scaling. Each channel of a 3-D map gets the same bits
+    as resizing it alone.
     """
     img = np.asarray(map2d, dtype=np.float64)
-    if img.ndim != 2 or img.size == 0:
-        raise ValueError("upsample_bilinear: expected a nonempty 2-D map")
+    if img.ndim not in (2, 3) or img.size == 0:
+        raise ValueError("upsample_bilinear: expected a nonempty 2-D or 3-D map")
     if out_h < 1 or out_w < 1:
         raise ValueError("upsample_bilinear: output dims must be >= 1")
     y0, y1, fy = _source_coords(out_h, img.shape[0])
     x0, x1, fx = _source_coords(out_w, img.shape[1])
-    fy = fy[:, None]
-    fx = fx[None, :]
+    channels = (1,) * (img.ndim - 2)
+    fy = fy.reshape((-1, 1, *channels))
+    fx = fx.reshape((1, -1, *channels))
     top = img[np.ix_(y0, x0)] * (1.0 - fx) + img[np.ix_(y0, x1)] * fx
     bottom = img[np.ix_(y1, x0)] * (1.0 - fx) + img[np.ix_(y1, x1)] * fx
     return top * (1.0 - fy) + bottom * fy

@@ -77,6 +77,22 @@ class TestConfigParsing:
         assert resolved["sigma"] == 1.0
         assert resolved["out_height"] == 0
 
+    def test_train_defaults_come_from_train_config(self):
+        resolved = cli.resolve_config("train", {"features": "a", "labels": "b"})
+        defaults = mdl.TrainConfig()
+        keys = {
+            "head", "epochs", "learning_rate", "batch_size", "seed",
+            "early_stopping", "patience", "val_fraction",
+        }
+        assert set(resolved) == keys | {"features", "labels", "hidden_dims"}
+        for key in keys:
+            assert resolved[key] == getattr(defaults, key), key
+            assert type(resolved[key]) is type(getattr(defaults, key)), key
+        raw = {"features": "a", "labels": "b", "early_stopping": "yes"}
+        overridden = cli.resolve_config("train", {**raw, "learning_rate": "1e-3"})
+        assert overridden["early_stopping"] is True
+        assert overridden["learning_rate"] == 1e-3
+
 
 class TestExitCodes:
     def test_config_error_is_2_and_no_outputs(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from ulre import evidential as ev
+from ulre.numkernel import trigamma
 
 Y0 = np.array([1.0, 0.0])  # in-distribution label
 Y1 = np.array([0.0, 1.0])  # out-of-distribution label
@@ -299,6 +300,112 @@ class TestLossGradient:
     def test_zero_beyond_clamp(self):
         g = ev.edl_loss_grad(np.array([40.0, 0.0]), Y0, 0)
         assert g[0] == 0.0
+
+
+def old_edl_loss_grad(o, y, epoch):
+    """The loss gradient in its general trigamma form, as it was before the
+    one-hot closed form replaced it."""
+    lam = ev.lambda_schedule(epoch)
+    e = ev.evidence_from_logits(o)
+    alpha = e + 1.0
+    s = alpha.sum(axis=-1, keepdims=True)
+    dlog = 1.0 / s - y / alpha
+    alpha_tilde = y + (1.0 - y) * alpha
+    s_tilde = alpha_tilde.sum(axis=-1, keepdims=True)
+    dkl_datilde = (alpha_tilde - 1.0) * trigamma(alpha_tilde) - trigamma(
+        s_tilde
+    ) * (s_tilde - 2.0)
+    passthrough = (np.abs(o) <= ev.LOGIT_CLAMP).astype(np.float64)
+    return e * (dlog + lam * (1.0 - y) * dkl_datilde) * passthrough
+
+
+def logit_rows(wrong_hi, n=400, seed=40):
+    """One-hot rows and logit rows: the correct-class logit anywhere in
+    [-30, 30], the incorrect-class logit on a grid of [-30, wrong_hi]."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, n)
+    y = ev.one_hot(labels)
+    o = np.empty((n, 2))
+    o[np.arange(n), labels] = rng.uniform(-30.0, 30.0, n)
+    o[np.arange(n), 1 - labels] = np.linspace(-30.0, wrong_hi, n)
+    return o, y
+
+
+class TestOneHotClosedForms:
+    # In float64 the general forms cancel once the incorrect-class logit
+    # passes about 12.8 (lgamma differences in the KL) and 15.2 (trigamma
+    # differences in the gradient), so they are compared below 12 here and
+    # over the whole range in 50-digit arithmetic below.
+    def test_kl_matches_general_form(self):
+        o, y = logit_rows(12.0)
+        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(o))
+        general = ev.dirichlet_kl_to_uniform(y + (1.0 - y) * alpha)
+        np.testing.assert_allclose(ev.edl_kl_reg(alpha, y), general, rtol=0, atol=1e-9)
+
+    def test_grad_matches_trigamma_form(self):
+        o, y = logit_rows(12.0)
+        for epoch in (0, 5, 20):
+            np.testing.assert_allclose(
+                ev.edl_loss_grad(o, y, epoch),
+                old_edl_loss_grad(o, y, epoch),
+                rtol=0,
+                atol=1e-9,
+            )
+
+    def test_match_general_forms_in_high_precision(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        o, y = logit_rows(30.0, n=200)
+        # the clamp edges and beyond, for both classes
+        edges = np.array([[30.0, -30.0], [-30.0, 30.0], [40.0, -40.0], [-40.0, 40.0]])
+        o = np.concatenate([o, edges, edges])
+        y = np.concatenate([y, np.tile(Y0, (4, 1)), np.tile(Y1, (4, 1))])
+        e = ev.evidence_from_logits(o)
+        alpha = e + 1.0
+        b = ((1.0 - y) * alpha).sum(axis=-1)
+        kl, dkl_db = [], []
+        for bk in map(mp.mpf, b):
+            kl.append(
+                mp.loggamma(bk + 1)
+                - mp.loggamma(bk)
+                + (bk - 1) * (mp.psi(0, bk) - mp.psi(0, bk + 1))
+            )
+            dkl_db.append((bk - 1) * (mp.psi(1, bk) - mp.psi(1, bk + 1)))
+        kl = np.array(kl, dtype=np.float64)
+        dkl = (1.0 - y) * np.array(dkl_db, dtype=np.float64)[:, None]
+        np.testing.assert_allclose(ev.edl_kl_reg(alpha, y), kl, rtol=0, atol=1e-9)
+        dlog = 1.0 / alpha.sum(axis=-1, keepdims=True) - y / alpha
+        passthrough = np.abs(o) <= ev.LOGIT_CLAMP
+        for epoch in (0, 5, 20):
+            want = e * (dlog + ev.lambda_schedule(epoch) * dkl) * passthrough
+            np.testing.assert_allclose(
+                ev.edl_loss_grad(o, y, epoch), want, rtol=0, atol=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [0.5, 0.5],
+            [1.0, 1.0],
+            [0.0, 0.0],
+            [2.0, -1.0],
+            [np.nan, 1.0],
+            [1.0, 0.0, 0.0],
+        ],
+    )
+    def test_reject_labels_that_are_not_one_hot(self, y):
+        y = np.array([Y0, y]) if len(y) == 2 else np.array(y)
+        o = np.zeros(y.shape)
+        with pytest.raises(ValueError, match="one-hot"):
+            ev.edl_kl_reg(ev.dirichlet_from_evidence(ev.evidence_from_logits(o)), y)
+        with pytest.raises(ValueError, match="one-hot"):
+            ev.edl_loss_grad(o, y, 5)
+
+    def test_nan_logits_still_rejected(self):
+        with pytest.raises(ValueError):
+            ev.edl_loss_grad(np.array([np.nan, 0.0]), Y0, 5)
+        with pytest.raises(ValueError):
+            ev.edl_kl_reg(np.array([1.0, np.nan]), Y0)
 
 
 class TestOneHot:

@@ -7,6 +7,7 @@ import pytest
 
 from ulre import evidential as ev
 from ulre import model as mdl
+from ulre.numkernel import Rng
 
 
 def make_blobs(n=600, separation=10.0, seed=0):
@@ -106,9 +107,7 @@ class TestForward:
         m = mdl.init_model(dims, seed=12, head=head)
         n = 2 * mdl._FORWARD_ROWS + extra_rows
         x = np.random.default_rng(13).normal(size=(n, 16))
-        np.testing.assert_array_equal(
-            mdl.forward(m, x), mdl._forward_cached(m, x)[0][-1]
-        )
+        np.testing.assert_array_equal(mdl.forward(m, x), mdl._forward_rows(m, x))
 
     def test_activation_kernels_match_where_forms(self):
         tiny = np.finfo(np.float64).smallest_subnormal
@@ -117,9 +116,13 @@ class TestForward:
              3 * tiny, -3 * tiny, 1e-310, -1e-310, 1.5, -2.5, 1e308, -1e308]
         )
         slope = 0.01
+        leaky = np.where(z > 0.0, z, slope * z)
+        grad = np.where(z > 0.0, 1.0, slope)
         for got, want in (
-            (mdl._leaky(z, slope), np.where(z > 0.0, z, slope * z)),
-            (mdl._leaky_grad(z, slope), np.where(z > 0.0, 1.0, slope)),
+            (mdl._leaky(z, slope), leaky),
+            (mdl._leaky(z, slope, out=np.empty_like(z)), leaky),
+            (mdl._leaky_grad(z, slope), grad),
+            (mdl._leaky_grad((zc := z.copy()), slope, out=zc), grad),  # in place
         ):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -151,6 +154,148 @@ class TestBackprop:
                         )
                         worst = max(worst, rel)
             assert worst <= 1e-4
+
+
+# The training step as it was before the buffered step and in-place Adam:
+# fresh activation, delta, gradient and Adam arrays for every batch, with
+# the activation kernels in their np.where forms. The buffered step must
+# reproduce it bit for bit.
+def _reference_forward_cached(model, x):
+    acts = [x]
+    pres = []
+    h = x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        pres.append(z)
+        h = np.where(z > 0.0, z, model.slope * z) if i < last else z
+        acts.append(h)
+    return acts, pres
+
+
+def _reference_backward(model, acts, pres, dlogits):
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    delta = dlogits
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * np.where(
+                pres[i - 1] > 0.0, 1.0, model.slope
+            )
+    return grads_w, grads_b
+
+
+def _reference_batch(model, xb, y_onehot, epoch):
+    acts, pres = _reference_forward_cached(model, xb)
+    logits = acts[-1]
+    n = xb.shape[0]
+    if model.head == "evidential":
+        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
+        loss = float(np.mean(ev.edl_total_loss(alpha, y_onehot, epoch).total))
+        dlogits = ev.edl_loss_grad(logits, y_onehot, epoch) / n
+    else:
+        z, y1 = logits[:, 0], y_onehot[:, 1]
+        loss = float(np.mean(ev.bce_loss_from_logit(z, y1)))
+        dlogits = (ev.bce_grad_from_logit(z, y1) / n)[:, None]
+    return (loss, *_reference_backward(model, acts, pres, dlogits))
+
+
+def _reference_train(model, x, labels, cfg):
+    """Returns (weights, biases, train losses, val losses)."""
+    y = ev.one_hot(labels)
+    rng = Rng(cfg.seed)
+    n = x.shape[0]
+    if cfg.early_stopping:
+        split = rng.permutation(n)
+        n_val = max(1, int(round(n * cfg.val_fraction)))
+        val_idx, train_idx = split[:n_val], split[n_val:]
+    else:
+        val_idx, train_idx = np.empty(0, dtype=np.intp), np.arange(n)
+    x_train, y_train = x[train_idx], y[train_idx]
+    params = model.weights + model.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    train_loss, val_loss = [], []
+    best, best_params, since_best = np.inf, None, 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(x_train.shape[0])
+        total = 0.0
+        for start in range(0, x_train.shape[0], cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            xb, yb = x_train[batch], y_train[batch]
+            loss, gw, gb = _reference_batch(model, xb, yb, epoch)
+            t += 1
+            bc1 = 1.0 - cfg.beta1**t
+            bc2 = 1.0 - cfg.beta2**t
+            for p, g, mp, vp in zip(params, gw + gb, m, v):
+                mp *= cfg.beta1
+                mp += (1.0 - cfg.beta1) * g
+                vp *= cfg.beta2
+                vp += (1.0 - cfg.beta2) * g * g
+                p -= cfg.learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + cfg.adam_eps)
+            total += loss * len(batch)
+        train_loss.append(total / x_train.shape[0])
+        if cfg.early_stopping:
+            val = mdl._fit_loss(model, x[val_idx], y[val_idx])
+            val_loss.append(val)
+            if val < best:
+                best, best_params, since_best = val, [p.copy() for p in params], 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
+    if best_params is not None:
+        params = best_params
+    k = len(model.weights)
+    return params[:k], params[k:], train_loss, val_loss
+
+
+class TestBufferedStep:
+    # 600 rows: batches of 128 leave a ragged last batch with and without
+    # the validation split. With early stopping both heads stop at epoch 5
+    # and restore epoch 3; without it they run past the lambda ramp.
+    @pytest.mark.parametrize("early_stopping", [False, True])
+    @pytest.mark.parametrize(
+        "head,dims", [("evidential", [2, 16, 8, 2]), ("sigmoid", [2, 16, 8, 1])]
+    )
+    def test_train_matches_reference_bit_for_bit(self, head, dims, early_stopping):
+        x, y = make_blobs(n=300, separation=0.5, seed=35)
+        cfg = mdl.TrainConfig(
+            epochs=14,
+            learning_rate=3e-2,
+            batch_size=128,
+            seed=36,
+            head=head,
+            early_stopping=early_stopping,
+            patience=2,
+        )
+        got, report = mdl.train(mdl.init_model(dims, 37, head), x, y, cfg)
+        weights, biases, train_loss, val_loss = _reference_train(
+            mdl.init_model(dims, 37, head), x, y, cfg
+        )
+        assert report.n_train % cfg.batch_size != 0
+        if early_stopping:
+            assert report.best_epoch < report.stopped_epoch
+        assert report.train_loss == train_loss
+        assert report.val_loss == val_loss
+        for a, b in zip(got.weights + got.biases, weights + biases):
+            assert np.array_equal(a, b)
+
+    def test_batch_loss_grads_matches_reference(self):
+        m = mdl.init_model([3, 32, 16, 2], seed=38)
+        rng = np.random.default_rng(39)
+        x = rng.normal(size=(50, 3))
+        y = ev.one_hot(rng.integers(0, 2, 50))
+        for epoch in (0, 4, 12):
+            loss, terms, gw, gb = mdl._batch_loss_grads(m, x, y, epoch)
+            want_loss, want_w, want_b = _reference_batch(m, x, y, epoch)
+            assert loss == want_loss
+            assert set(terms) == {"log_loss", "kl_reg"}
+            for a, b in zip(gw + gb, want_w + want_b):
+                assert np.array_equal(a, b)
 
 
 class TestAdam:

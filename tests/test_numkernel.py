@@ -168,11 +168,23 @@ class TestUpsampleBilinear:
         want = cv2.resize(img, (20, 13), interpolation=cv2.INTER_LINEAR)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("out_h,out_w", [(13, 20), (4, 3), (6, 9)])
+    def test_channels_equal_per_channel_resize(self, out_h, out_w):
+        img = np.random.default_rng(11).normal(size=(6, 9, 5))
+        want = np.stack(
+            [upsample_bilinear(img[:, :, c], out_h, out_w) for c in range(5)], axis=-1
+        )
+        got = upsample_bilinear(img, out_h, out_w)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             upsample_bilinear(np.zeros((0, 2)), 2, 2)
         with pytest.raises(ValueError):
             upsample_bilinear(np.zeros((2, 2)), 0, 2)
+        for shape in ((4,), (2, 2, 2, 2)):
+            with pytest.raises(ValueError):
+                upsample_bilinear(np.zeros(shape), 2, 2)
 
 
 class TestResizeNearest:
