@@ -407,7 +407,7 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
     label_paths = resolved["labels"]
     if len(score_paths) != len(label_paths):
         raise DataError("eval: scores and labels lists differ in length")
-    all_scores, all_labels, per_file = [], [], []
+    files = []
     for spath, lpath in zip(score_paths, label_paths):
         srec = read_tensor_file(spath)
         lrec = read_tensor_file(lpath)
@@ -421,29 +421,38 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
             raise DataError(
                 f"eval: scores {s.shape} and labels {lab.shape} shapes differ"
             )
-        if not np.isin(lab, (0, 1)).all():
+        positive = lab.ravel() == 1
+        n_pos = int(np.count_nonzero(positive))
+        if np.count_nonzero(lab == 0) != lab.size - n_pos:
             raise DataError(f"{lpath}: labels contain non-binary values")
-        all_scores.append(s.ravel())
-        all_labels.append(lab.ravel())
-        per_file.append((spath, s.ravel(), lab.ravel()))
-    scores = np.concatenate(all_scores)
-    labels = np.concatenate(all_labels)
+        files.append((spath, s.ravel(), positive, n_pos))
+    # pool every file into one score and one label array and drop the
+    # per-file arrays; each file's entries are then views into the pool
+    n_px = sum(len(positive) for _, _, positive, _ in files)
+    scores = np.empty(n_px)
+    labels = np.empty(n_px, dtype=bool)
+    per_file = []
+    stop = 0
+    for spath, s, positive, n_pos in files:
+        start, stop = stop, stop + len(s)
+        scores[start:stop] = s
+        labels[start:stop] = positive
+        per_file.append((spath, start, stop, n_pos))
+    del files
+    n_pos = sum(entry[3] for entry in per_file)
     try:
         ap, fpr95 = metrics.ap_and_fpr95(scores, labels)
-        payload = {
-            "ap": ap,
-            "fpr95": fpr95,
-            "n_pos": int(labels.sum()),
-            "n_neg": int(len(labels) - labels.sum()),
-        }
+        payload = {"ap": ap, "fpr95": fpr95, "n_pos": n_pos, "n_neg": n_px - n_pos}
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     if len(per_file) > 1:
         breakdown = []
-        for spath, s, lab in per_file:
+        for spath, start, stop, file_pos in per_file:
             entry = {"scores_file": str(spath)}
-            if 0 < lab.sum() < len(lab):
-                entry["ap"], entry["fpr95"] = metrics.ap_and_fpr95(s, lab)
+            if 0 < file_pos < stop - start:
+                entry["ap"], entry["fpr95"] = metrics.ap_and_fpr95(
+                    scores[start:stop], labels[start:stop]
+                )
             breakdown.append(entry)
         payload["per_file"] = breakdown
     _write_json(out_dir / "metrics.json", payload)

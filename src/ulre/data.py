@@ -85,12 +85,14 @@ def write_tensor_file(path, records: dict[str, np.ndarray]) -> None:
 
 
 class _Reader:
+    """Consecutive slices of a file's bytes, as views that copy nothing."""
+
     def __init__(self, path, blob: bytes):
         self.path = path
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.blob):
             raise TensorFileError(
                 f"{self.path}: truncated while reading {what} at byte {self.pos} "
@@ -102,7 +104,10 @@ class _Reader:
 
 
 def read_tensor_file(path) -> dict[str, np.ndarray]:
-    """Read a container written by write_tensor_file, preserving order."""
+    """Read a container written by write_tensor_file, preserving order.
+
+    The file is read once; each record is one aligned copy of its payload.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(path, blob)
@@ -116,7 +121,7 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
         where = f"record {i} header"
         (name_len,) = struct.unpack("<H", r.take(2, where))
         try:
-            name = r.take(name_len, where).decode("utf-8")
+            name = str(r.take(name_len, where), "utf-8")
         except UnicodeDecodeError as exc:
             raise TensorFileError(f"{path}: record {i} name is not UTF-8") from exc
         code, rank = struct.unpack("<BB", r.take(2, f"record {name!r} header"))

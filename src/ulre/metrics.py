@@ -19,7 +19,6 @@ __all__ = [
     "ap_and_fpr95",
     "average_precision",
     "fpr_at_95_tpr",
-    "cosine_distance",
     "extrapolation_analysis",
     "binned_csv",
 ]
@@ -39,48 +38,68 @@ def postprocess_scores(raw, out_h: int, out_w: int, sigma: float = 1.0) -> np.nd
 
 
 def _validate_scores_labels(scores, labels):
+    """Flat float64 scores, the positive-label mask and the class counts.
+
+    A boolean label array is binary by its type, so only other label arrays
+    are compared with 0.
+    """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValueError("scores and labels must have the same number of entries")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    if not np.isin(y, (0, 1)).all():
+    pos = y if y.dtype == bool else y == 1
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = len(y) - n_pos
+    if pos is not y and np.count_nonzero(y == 0) != n_neg:
         raise ValueError("labels must be 0 or 1")
-    y = y.astype(np.int64)
-    n_pos = int(y.sum())
-    n_neg = int(len(y) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need at least one positive and one negative label")
-    return s, y, n_pos, n_neg
+    return s, pos, n_pos, n_neg
 
 
-def _threshold_counts(s: np.ndarray, y: np.ndarray):
-    """Cumulative TP/FP at each distinct score threshold, descending.
+def _threshold_counts(s: np.ndarray, pos: np.ndarray, n_pos: int):
+    """TP count and the count of all scores at each distinct score
+    threshold, descending.
 
-    Classification rule is score >= threshold; tied scores move together.
+    Classification rule is score >= threshold; tied scores move together, so
+    the counts follow from value sorts: the number of scores >= a threshold
+    is read off the sorted scores, and the positives among them off the
+    sorted positive scores.
     """
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    # last index of each tie group
-    cut = np.nonzero(np.diff(s_sorted))[0]
-    cut = np.concatenate([cut, [len(s_sorted) - 1]])
-    tp = np.cumsum(y_sorted)[cut]
-    fp = np.cumsum(1 - y_sorted)[cut]
-    return s_sorted[cut], tp, fp
+    ranked = np.sort(s)
+    first = np.empty(len(ranked), dtype=bool)  # first entry of each tie group
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    thresholds = ranked[first]
+    at_or_above = np.flatnonzero(first)
+    np.subtract(len(ranked), at_or_above, out=at_or_above)
+    del ranked, first
+    pos_ranked = s[pos]
+    pos_ranked.sort()
+    tp = np.searchsorted(pos_ranked, thresholds, "left")
+    del pos_ranked, thresholds
+    np.subtract(n_pos, tp, out=tp)
+    return tp[::-1], at_or_above[::-1]
 
 
 def ap_and_fpr95(scores, labels, tpr_target: float = 0.95) -> tuple[float, float]:
-    """`(average_precision, fpr_at_95_tpr)` from one validation and one sort."""
-    s, y, n_pos, n_neg = _validate_scores_labels(scores, labels)
-    _, tp, fp = _threshold_counts(s, y)
-    precision = tp / (tp + fp)
+    """`(average_precision, fpr_at_95_tpr)` from one validation and one
+    pass over the distinct thresholds."""
+    s, pos, n_pos, n_neg = _validate_scores_labels(scores, labels)
+    tp, at_or_above = _threshold_counts(s, pos, n_pos)
     recall = tp / n_pos
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    ap = float(((recall - prev_recall) * precision).sum())
-    fpr = fp / n_neg
-    return ap, float(fpr[recall >= tpr_target].min())
+    precision = tp / at_or_above  # at_or_above == tp + fp
+    fp = np.subtract(at_or_above, tp, out=at_or_above)
+    del tp
+    fpr95 = float((fp / n_neg)[recall >= tpr_target].min())
+    del fp
+    gain = np.empty(len(recall))  # recall minus the previous threshold's recall
+    gain[0] = recall[0]
+    np.subtract(recall[1:], recall[:-1], out=gain[1:])
+    gain *= precision
+    return float(gain.sum()), fpr95
 
 
 def average_precision(scores, labels) -> float:
@@ -100,17 +119,6 @@ def fpr_at_95_tpr(scores, labels, tpr_target: float = 0.95) -> float:
     the operating set is never empty.
     """
     return ap_and_fpr95(scores, labels, tpr_target)[1]
-
-
-def cosine_distance(x, mu) -> float:
-    """1 - cos(angle): 0 parallel, 1 orthogonal, 2 antiparallel."""
-    x = np.asarray(x, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    nx = np.linalg.norm(x)
-    nm = np.linalg.norm(mu)
-    if nx == 0.0 or nm == 0.0:
-        raise ValueError("cosine_distance: zero vector")
-    return float(1.0 - np.dot(x, mu) / (nx * nm))
 
 
 @dataclass(frozen=True)

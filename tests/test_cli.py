@@ -1,5 +1,6 @@
 """CLI orchestration: configs, subcommands, manifests, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ulre import cli
 from ulre import model as mdl
-from ulre.data import read_tensor_file, write_tensor_file
+from ulre.data import DataError, read_tensor_file, write_tensor_file
 
 
 def write_config(path, **kv):
@@ -125,8 +126,10 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
 
+    # features of 1e308 overflow the first layer, so the logits are NaN
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_numerical_failure_is_4(self, tmp_path):
+    @pytest.mark.parametrize("head", ["sigmoid", "evidential"])
+    def test_numerical_failure_is_4(self, tmp_path, capsys, head):
         feat = tmp_path / "f.ulre"
         write_tensor_file(feat, {"features": np.full((8, 8, 2), 1e308)})
         lab = tmp_path / "l.ulre"
@@ -137,13 +140,14 @@ class TestExitCodes:
             tmp_path / "c.cfg",
             features=str(feat),
             labels=str(lab),
-            head="sigmoid",
+            head=head,
             batch_size=16,
             epochs=1,
             learning_rate="1e-3",
         )
         out = tmp_path / "out"
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 4
+        assert "numerical failure:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit",
@@ -356,6 +360,48 @@ class TestTrainScoreEval:
         assert results["null"]["ap"] == pytest.approx(0.5, abs=0.05)
         # inverting a useful score cannot beat the chance level
         assert results["inv"]["ap"] <= results["null"]["ap"]
+
+    def test_eval_metrics_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # three files of different shapes, tied scores, and one file with no
+        # positives, which gets no per-file metrics; relative paths keep the
+        # per-file names, and with them the bytes, independent of tmp_path
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(21)
+        for i, shape in enumerate([(12, 10), (7, 9), (16, 16)]):
+            labels = (rng.random(shape) < 0.3).astype(np.uint8)
+            if i == 1:
+                labels[:] = 0
+            scores = rng.integers(1, 40, shape) / 8.0
+            scores += labels * rng.uniform(0.0, 2.0, shape)
+            write_tensor_file(f"s{i}.ulre", {"scores": scores})
+            write_tensor_file(f"l{i}.ulre", {"labels": labels})
+        cfg = cli.resolve_config(
+            "eval",
+            {"scores": "s0.ulre,s1.ulre,s2.ulre", "labels": "l0.ulre,l1.ulre,l2.ulre"},
+        )
+        cli.run_command("eval", cfg, tmp_path / "out")
+        blob = (tmp_path / "out" / "metrics.json").read_bytes()
+        assert [e.get("ap") is None for e in json.loads(blob)["per_file"]] == [
+            False, True, False
+        ]
+        assert hashlib.sha256(blob).hexdigest() == (
+            "976b748b6bb01354be60427facee55a2d2299b1274808a8e8231aa868c9966c7"
+        )
+
+    def test_eval_names_the_non_binary_label_file(self, tmp_path):
+        write_tensor_file(tmp_path / "s.ulre", {"scores": np.ones((2, 3))})
+        for name, row in (("good", [0, 1, 0]), ("bad", [0, 1, 2])):
+            labels = np.array([row, [1, 0, 0]], dtype=np.uint8)
+            write_tensor_file(tmp_path / f"{name}.ulre", {"labels": labels})
+        cfg = cli.resolve_config(
+            "eval",
+            {
+                "scores": f"{tmp_path / 's.ulre'},{tmp_path / 's.ulre'}",
+                "labels": f"{tmp_path / 'good.ulre'},{tmp_path / 'bad.ulre'}",
+            },
+        )
+        with pytest.raises(DataError, match="bad.ulre: labels contain non-binary"):
+            cli.run_command("eval", cfg, tmp_path / "out")
 
 
 class TestExtrapolateCommand:

@@ -1,6 +1,7 @@
 """Tensor container I/O, synthetic generators, compositor, class means."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,10 +75,35 @@ class TestTensorFile:
         with pytest.raises(TensorFileError, match="truncated"):
             read_tensor_file(path)
 
+    def test_read_peak_memory(self, tmp_path):
+        # the file's bytes plus one aligned copy per record; slicing the
+        # payload out of the file's bytes used to add a third copy
+        payload = np.random.default_rng(1).normal(size=(2048, 1024))  # 16 MiB
+        path = tmp_path / "big.ulre"
+        write_tensor_file(path, {"features": payload, "ids": np.arange(7, dtype=np.uint8)})
+        tracemalloc.start()
+        try:
+            back = read_tensor_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * payload.nbytes
+        assert back["features"].tobytes() == payload.tobytes()
+        assert back["features"].flags.aligned and back["features"].flags.writeable
+        assert back["ids"].tolist() == list(range(7))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ulre"
         path.write_bytes(b"NOPE" + b"\x00" * 10)
         with pytest.raises(TensorFileError, match="magic"):
+            read_tensor_file(path)
+
+    def test_record_name_not_utf8(self, tmp_path):
+        path = tmp_path / "name.ulre"
+        path.write_bytes(
+            b"ULRE" + struct.pack("<HHH", 1, 1, 2) + b"\xff\xfe" + struct.pack("<BB", 0, 0)
+        )
+        with pytest.raises(TensorFileError, match="record 0 name is not UTF-8"):
             read_tensor_file(path)
 
     def test_bad_version(self, tmp_path):

@@ -1,5 +1,7 @@
 """Detection metrics, score post-processing, cosine-distance analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from ulre.metrics import (
     ap_and_fpr95,
     average_precision,
     binned_csv,
-    cosine_distance,
     extrapolation_analysis,
     fpr_at_95_tpr,
     postprocess_scores,
@@ -148,6 +149,105 @@ def test_ap_and_fpr95_equal_separate_metrics_on_ties():
     assert fpr95 == pytest.approx(brute_force_fpr95(scores, labels), abs=1e-12)
 
 
+def reference_threshold_counts(s, y):
+    """Cumulative TP/FP at each distinct score threshold, descending, from one
+    stable argsort: how `ap_and_fpr95` counted before it used value sorts."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    # last index of each tie group
+    cut = np.nonzero(np.diff(s_sorted))[0]
+    cut = np.concatenate([cut, [len(s_sorted) - 1]])
+    tp = np.cumsum(y_sorted)[cut]
+    fp = np.cumsum(1 - y_sorted)[cut]
+    return s_sorted[cut], tp, fp
+
+
+def reference_ap_and_fpr95(scores, labels, tpr_target=0.95):
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    y = np.asarray(labels).ravel().astype(np.int64)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    _, tp, fp = reference_threshold_counts(s, y)
+    precision = tp / (tp + fp)
+    recall = tp / n_pos
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    ap = float(((recall - prev_recall) * precision).sum())
+    fpr = fp / n_neg
+    return ap, float(fpr[recall >= tpr_target].min())
+
+
+class TestApAndFpr95MatchesArgsortReference:
+    """The value-sort counts give the argsort form's floats, bit for bit."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_random_inputs(self, ties):
+        rng = np.random.default_rng(6 + ties)
+        for _ in range(50):
+            n = int(rng.integers(2, 2000))
+            labels = rng.integers(0, 2, n).astype(np.uint8)
+            labels[:2] = (0, 1)
+            if ties:
+                scores = rng.integers(0, int(rng.integers(1, 40)), n) / 7.0
+            else:
+                scores = rng.normal(size=n)
+            for y in (labels, labels.astype(bool), labels.astype(np.float64)):
+                assert ap_and_fpr95(scores, y) == reference_ap_and_fpr95(scores, labels)
+
+    def test_signed_zeros_tie(self):
+        scores = np.array([0.0, -0.0, 0.0, 1.0, -0.0, -1.0])
+        labels = np.array([1, 0, 0, 1, 1, 0])
+        assert ap_and_fpr95(scores, labels) == reference_ap_and_fpr95(scores, labels)
+
+    def test_all_tied(self):
+        labels = np.array([1, 0, 0, 1, 0, 0, 0])
+        scores = np.full(7, 2.5)
+        assert ap_and_fpr95(scores, labels) == reference_ap_and_fpr95(scores, labels)
+
+    @pytest.mark.parametrize("minority", [0, 1])
+    def test_single_example_of_one_class(self, minority):
+        rng = np.random.default_rng(8)
+        for position in (0, 5, 99):
+            labels = np.full(100, 1 - minority)
+            labels[position] = minority
+            for scores in (rng.normal(size=100), rng.integers(0, 4, 100) / 2.0):
+                got = ap_and_fpr95(scores, labels)
+                assert got == reference_ap_and_fpr95(scores, labels)
+                assert ap_and_fpr95(scores, labels, 0.5) == reference_ap_and_fpr95(
+                    scores, labels, 0.5
+                )
+
+    @pytest.mark.parametrize(
+        "scores,labels,message",
+        [
+            ([1.0, 2.0], [1, 0, 1], "same number"),
+            ([1.0, np.inf], [1, 0], "finite"),
+            ([1.0, np.nan], [1, 0], "finite"),
+            ([1.0, 2.0, 3.0], [1, 0, 2], "0 or 1"),
+            ([1.0, 2.0, 3.0], [1.0, 0.0, 0.5], "0 or 1"),
+            ([1.0, 2.0], [True, True], "one positive and one negative"),
+            ([1.0, 2.0], [0, 0], "one positive and one negative"),
+        ],
+    )
+    def test_validation_messages(self, scores, labels, message):
+        with pytest.raises(ValueError, match=message):
+            ap_and_fpr95(scores, labels)
+
+    def test_peak_memory_per_pixel(self):
+        # the argsort form peaked near 89 bytes per pixel
+        n = 1_000_000
+        rng = np.random.default_rng(9)
+        scores = rng.permutation(n) / n
+        labels = (rng.random(n) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            ap_and_fpr95(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * n
+
+
 class TestPostprocess:
     def test_constant_preserved_at_new_size(self):
         out = postprocess_scores(np.full((4, 4), 2.0), 9, 13, 1.0)
@@ -193,21 +293,6 @@ class TestPostprocess:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             postprocess_scores(np.zeros((3, 3)), 6, 6, 1.0)
-
-
-class TestCosineDistance:
-    def test_parallel(self):
-        assert cosine_distance([1.0, 2.0], [2.0, 4.0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine_distance([1.0, 0.0], [0.0, 3.0]) == pytest.approx(1.0)
-
-    def test_antiparallel(self):
-        assert cosine_distance([1.0, 1.0], [-2.0, -2.0]) == pytest.approx(2.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_distance([0.0, 0.0], [1.0, 0.0])
 
 
 class TestExtrapolationAnalysis:
