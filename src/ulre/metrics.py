@@ -59,14 +59,14 @@ def _validate_scores_labels(scores, labels):
     return s, pos, n_pos, n_neg
 
 
-def _threshold_counts(s: np.ndarray, pos: np.ndarray, n_pos: int):
+def _threshold_counts(s: np.ndarray, pos: np.ndarray):
     """TP count and the count of all scores at each distinct score
     threshold, descending.
 
     Classification rule is score >= threshold; tied scores move together, so
     the counts follow from value sorts: the number of scores >= a threshold
-    is read off the sorted scores, and the positives among them off the
-    sorted positive scores.
+    is read off the sorted scores, and the positives among them are counted
+    at their own thresholds and summed from the top.
     """
     ranked = np.sort(s)
     first = np.empty(len(ranked), dtype=bool)  # first entry of each tie group
@@ -77,18 +77,20 @@ def _threshold_counts(s: np.ndarray, pos: np.ndarray, n_pos: int):
     np.subtract(len(ranked), at_or_above, out=at_or_above)
     del ranked, first
     pos_ranked = s[pos]
-    pos_ranked.sort()
-    tp = np.searchsorted(pos_ranked, thresholds, "left")
-    del pos_ranked, thresholds
-    np.subtract(n_pos, tp, out=tp)
-    return tp[::-1], at_or_above[::-1]
+    pos_ranked.sort()  # ascending keys make each search start at the last hit
+    at = np.searchsorted(thresholds, pos_ranked)
+    del pos_ranked
+    tp = np.bincount(at, minlength=len(thresholds))[::-1]
+    del at
+    np.cumsum(tp, out=tp)
+    return tp, at_or_above[::-1]
 
 
 def ap_and_fpr95(scores, labels, tpr_target: float = 0.95) -> tuple[float, float]:
     """`(average_precision, fpr_at_95_tpr)` from one validation and one
     pass over the distinct thresholds."""
     s, pos, n_pos, n_neg = _validate_scores_labels(scores, labels)
-    tp, at_or_above = _threshold_counts(s, pos, n_pos)
+    tp, at_or_above = _threshold_counts(s, pos)
     recall = tp / n_pos
     precision = tp / at_or_above  # at_or_above == tp + fp
     fp = np.subtract(at_or_above, tp, out=at_or_above)

@@ -35,18 +35,24 @@ HEAD_WIDTHS = {"evidential": 2, "sigmoid": 1}
 CHECKPOINT_FORMAT_VERSION = 1
 # The most rows in one part of a forward pass, and the row multiple that
 # every part boundary falls on. Both are part of the byte contract, because
-# a matmul's result bits can depend on its row count. With OpenBLAS, parts of
-# a few thousand rows take a path that differs from one whole-map call by up
-# to 3.1e-15 in most rows, and a one-column matmul (the sigmoid head's last
-# layer) computes the rows past the last multiple of 4 with another kernel.
-# So `forward` cuts near-equal parts of more than 8,000 rows on multiples of
-# 64 rows, never a short tail part. 16,384 rows bound the widest activation
-# of a 256-wide layer at 32 MiB.
+# a matmul's result bits can depend on its row count. With OpenBLAS, products
+# 2, 3, 4 or 12 columns wide take another kernel below about 10^6
+# multiply-adds, so the evidential head's 64-to-2 last layer differs from
+# one whole-map call on parts of 4,096 rows; and a one-column matmul (the
+# sigmoid head's last layer) computes the rows past the last multiple of 4
+# with another kernel. So `forward` cuts near-equal parts of more than 8,000
+# rows on multiples of 64 rows, never a short tail part, and runs the last
+# layer over each whole part. 16,384 rows bound the last hidden activation
+# of a 64-wide layer at 8 MiB.
 _FORWARD_ROWS = 16_384
 _FORWARD_ALIGN = 64
-# Rows per block of the bias add and leaky ReLU in `forward`: 256 rows of a
-# 256-wide layer take 512 KiB, which stays in cache between the three passes.
-_ELEMENTWISE_ROWS = 256
+# The most rows in one block of the hidden layers in `forward`, cut like the
+# parts. A block of 256 rows of a 256-wide layer takes 512 KiB, which stays
+# in cache from its matmul through the bias add and the leaky ReLU into the
+# next layer. Hidden products of other widths than those above give the
+# bits of a whole part on every block of 2 rows or more; a 1-row product
+# (numpy's gemv) does not, so no block is a short tail.
+_BLOCK_ROWS = 256
 
 
 class TrainingDivergedError(RuntimeError):
@@ -143,34 +149,41 @@ def _leaky_grad(z: np.ndarray, slope: float, out=None) -> np.ndarray:
     return mask
 
 
-def _forward_rows(model: Estimator, x, hidden, scratch, out) -> np.ndarray:
-    """Logits of one part written into `out`, each hidden layer's activations
-    into the leading rows of its buffer in `hidden`.
+def _cuts(n: int, most: int) -> list[int]:
+    """Bounds of near-equal pieces of at most `most` rows that cover n rows,
+    every inner bound on a multiple of _FORWARD_ALIGN rows."""
+    units = -(-n // _FORWARD_ALIGN)
+    pieces = max(1, -(-units // (most // _FORWARD_ALIGN)))
+    return [min(n, i * units // pieces * _FORWARD_ALIGN) for i in range(pieces + 1)]
 
-    The matmul sees the whole part; the bias and the leaky ReLU, which are
-    row-independent, run in blocks of _ELEMENTWISE_ROWS rows so that each
-    block stays in cache, with `scratch` holding one block's slope * z.
+
+def _hidden_rows(model: Estimator, x, blocks, last, scratch) -> np.ndarray:
+    """The last hidden layer's activations of the rows of x, written into
+    the leading rows of `last`.
+
+    The rows go through every hidden layer in blocks of at most _BLOCK_ROWS
+    rows. `blocks` holds one block of each hidden layer but the last, and
+    `scratch` one block's slope * z.
     """
-    n = x.shape[0]
-    h = x
-    for w, b, buf in zip(model.weights, model.biases, hidden):
-        h = np.matmul(h, w, out=buf[:n])
-        for start in range(0, n, _ELEMENTWISE_ROWS):
-            z = h[start : start + _ELEMENTWISE_ROWS]
+    layers = list(zip(model.weights[:-1], model.biases[:-1]))
+    bounds = _cuts(x.shape[0], _BLOCK_ROWS)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        h = x[lo:hi]
+        for (w, b), buf in zip(layers, [*blocks, last[lo:]]):
+            z = np.matmul(h, w, out=buf[: hi - lo])
             z += b
             t = np.multiply(z, model.slope, out=scratch[: z.size].reshape(z.shape))
-            np.maximum(z, t, out=z)
-    np.matmul(h, model.weights[-1], out=out)
-    out += model.biases[-1]
-    return out
+            h = np.maximum(z, t, out=z)
+    return last[: x.shape[0]]
 
 
 def forward(model: Estimator, features) -> np.ndarray:
     """Row-wise logits for an (N, D) batch of feature vectors.
 
     More than _FORWARD_ROWS rows are split into near-equal parts of at most
-    _FORWARD_ROWS rows each, which bounds the activations held at once. The
-    hidden-layer buffers are allocated once per call, for the largest part.
+    _FORWARD_ROWS rows each. Within a part the hidden layers run block by
+    block, and the last layer runs over the whole part's last hidden
+    activation. The buffers are allocated once per call.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
@@ -178,16 +191,20 @@ def forward(model: Estimator, features) -> np.ndarray:
             f"forward: expected (N, {model.layer_dims[0]}) input, got {x.shape}"
         )
     n = x.shape[0]
-    blocks = -(-n // _FORWARD_ALIGN)
-    parts = max(1, -(-blocks // (_FORWARD_ROWS // _FORWARD_ALIGN)))
-    bounds = [min(n, i * blocks // parts * _FORWARD_ALIGN) for i in range(parts + 1)]
-    rows = max(np.diff(bounds))
+    parts = _cuts(n, _FORWARD_ROWS)
+    rows = max(np.diff(parts))
+    block = min(rows, _BLOCK_ROWS)
     hidden_dims = model.layer_dims[1:-1]
-    hidden = [np.empty((rows, d)) for d in hidden_dims]
-    scratch = np.empty(_ELEMENTWISE_ROWS * max(hidden_dims, default=0))
+    blocks = [np.empty((block, d)) for d in hidden_dims[:-1]]
+    last = np.empty((rows, hidden_dims[-1])) if hidden_dims else None
+    scratch = np.empty(block * max(hidden_dims, default=0))
     logits = np.empty((n, model.layer_dims[-1]))
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        _forward_rows(model, x[start:stop], hidden, scratch, logits[start:stop])
+    for start, stop in zip(parts[:-1], parts[1:]):
+        h = x[start:stop]
+        if hidden_dims:
+            h = _hidden_rows(model, h, blocks, last, scratch)
+        np.matmul(h, model.weights[-1], out=logits[start:stop])
+    logits += model.biases[-1]
     return logits
 
 

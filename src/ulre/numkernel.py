@@ -295,10 +295,14 @@ class Rng:
         return out[:n]
 
     def permutation(self, n: int) -> np.ndarray:
-        """Deterministic permutation of range(n) by sorting random keys."""
+        """Deterministic permutation of range(n) by sorting random keys.
+
+        The n keys are distinct (distinct counters times an odd gamma, then
+        a bijective finalizer), so every correct sort gives this permutation.
+        """
         if n < 1:
             raise ValueError("Rng.permutation: n must be >= 1")
-        return np.argsort(self.next_u64(n), kind="stable")
+        return np.argsort(self.next_u64(n))
 
     def integers(self, n: int, high: int) -> np.ndarray:
         """n integers uniform on [0, high). Negligible bias for high << 2^53."""

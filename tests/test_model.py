@@ -24,8 +24,8 @@ def make_blobs(n=600, separation=10.0, seed=0):
 
 
 def reference_forward_rows(model, x):
-    """Logits of all rows of x in one pass, one layer's activations at a time:
-    `_forward_rows` before `forward` gained its per-call buffers."""
+    """Logits of all rows of x in one pass, one layer's activations at a
+    time: the forward pass before it was cut into parts and blocks."""
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -37,10 +37,11 @@ def reference_forward_rows(model, x):
     return h
 
 
-def assert_split_forward_matches_single_pass(dims, head, rows):
-    m = mdl.init_model(dims, seed=12, head=head)
-    x = np.random.default_rng(13).normal(size=(rows, dims[0]))
-    np.testing.assert_array_equal(mdl.forward(m, x), reference_forward_rows(m, x))
+def assert_split_forward_matches_single_pass(dims, head, rows_list):
+    for rows in rows_list:
+        m = mdl.init_model(dims, seed=12, head=head)
+        x = np.random.default_rng(rows).normal(size=(rows, dims[0]))
+        np.testing.assert_array_equal(mdl.forward(m, x), reference_forward_rows(m, x))
 
 
 class TestInit:
@@ -120,26 +121,37 @@ class TestForward:
         with pytest.raises(ValueError):
             mdl.forward(m, np.zeros((3, 5)))
 
-    # The sigmoid head's one-column last layer computes the rows past the
-    # last multiple of 4 with another kernel, so part boundaries must be
-    # aligned. On more than one OpenBLAS thread the split of such a row count
-    # between threads changes those bits too, in the single pass and in the
-    # parts alike (README), so that case is compared on one thread, in a
-    # child process.
+    # Blocks of the hidden layers and parts of the last layer must give the
+    # bits of one pass over all rows. The sigmoid head's one-column last
+    # layer computes the rows past the last multiple of 4 with another
+    # kernel, so part boundaries must be aligned. On more than one OpenBLAS
+    # thread the split of the rows between threads changes those bits too,
+    # in the single pass and in the parts alike (README), so that head is
+    # compared on one thread, in a child process. Each net's last layer
+    # reads 64 or more units: narrower 2-column products switch kernels with
+    # the row count (README), so their parts need not match one pass.
     @pytest.mark.parametrize(
         "dims,head,extra_rows",
-        [([16, 256, 64, 2], "evidential", 100), ([16, 256, 64, 1], "sigmoid", 128)],
+        [
+            ([16, 256, 64, 2], "evidential", 100),
+            ([16, 256, 64, 1], "sigmoid", 128),
+            ([64, 2], "evidential", 100),
+            ([64, 1], "sigmoid", 128),
+            ([16, 64, 2], "evidential", 100),
+            ([8, 64, 32, 64, 2], "evidential", 100),
+        ],
     )
     def test_split_forward_matches_single_pass(self, dims, head, extra_rows):
         part = mdl._FORWARD_ROWS
-        for rows in (part, part + 1, 2 * part + extra_rows, 3 * part + 64):
-            if head == "sigmoid" and rows % 4:
-                self._check_on_one_blas_thread(dims, head, rows)
-            else:
-                assert_split_forward_matches_single_pass(dims, head, rows)
+        rows_list = [1, 63, 64, 65, 255, 257, 4_097, part, part + 1,
+                     2 * part + extra_rows, 3 * part + 64]
+        if head == "sigmoid":
+            self._check_on_one_blas_thread(dims, head, rows_list)
+        else:
+            assert_split_forward_matches_single_pass(dims, head, rows_list)
 
     @staticmethod
-    def _check_on_one_blas_thread(dims, head, rows):
+    def _check_on_one_blas_thread(dims, head, rows_list):
         path = [str(Path(mdl.__file__).parents[1]), str(Path(__file__).parent)]
         env = {
             **os.environ,
@@ -149,7 +161,7 @@ class TestForward:
         }
         code = (
             "from test_model import assert_split_forward_matches_single_pass as check;"
-            f"check({dims!r}, {head!r}, {rows})"
+            f"check({dims!r}, {head!r}, {rows_list!r})"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -481,7 +493,9 @@ class TestPredictMap:
             mdl.predict_map(m, np.zeros((4, 4, 5)))
 
     def test_peak_memory_is_bounded(self):
-        # 16,384-row parts; one pass over all 65,536 rows peaks near 400 MiB
+        # 16,384-row parts of 256-row blocks hold one part's 64-wide last
+        # hidden activation (8 MiB); one pass over all 65,536 rows peaks near
+        # 400 MiB, and whole-part hidden layers near 42 MiB
         m = mdl.init_model([16, 256, 64, 2], seed=33)
         fmap = np.random.default_rng(34).normal(size=(256, 256, 16))
         tracemalloc.start()
@@ -490,7 +504,7 @@ class TestPredictMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**20
+        assert peak < 24 * 2**20
 
 
 class TestCheckpointIo:

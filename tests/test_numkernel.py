@@ -237,6 +237,18 @@ class TestRng:
         assert sorted(p.tolist()) == list(range(1000))
         np.testing.assert_array_equal(p, Rng(11).permutation(1000))
 
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
+    def test_permutation_needs_no_stable_sort(self, seed):
+        # the keys of one call are distinct, so every correct sort of them
+        # gives the same permutation as a stable one
+        for n in (1, 2, 17, 1000, 65_537, 180_000):
+            rng = Rng(seed)
+            rng.next_u64(3)  # a stream part-way through
+            keys = Rng(seed).next_u64(n + 3)[3:]
+            assert len(np.unique(keys)) == n
+            np.testing.assert_array_equal(np.argsort(keys), np.argsort(keys, kind="stable"))
+            np.testing.assert_array_equal(rng.permutation(n), np.argsort(keys, kind="stable"))
+
     def test_integers(self):
         k = Rng(13).integers(10000, 7)
         assert k.min() >= 0 and k.max() <= 6
