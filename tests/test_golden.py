@@ -7,6 +7,12 @@ from a scratch directory with relative paths, so the manifests, which record
 the config, are the same in every checkout. The scenes have 97 x 175 =
 16,975 rows, so `forward` cuts them into two parts with a ragged last one.
 
+The pins hold only for the OpenBLAS build and CPU kernel they were taken
+with: OpenBLAS 0.3.31 (scipy-openblas64) running its Haswell kernels, as
+`numpy.show_config()` reports them. Another build or kernel may pick other
+small-matrix kernels and round some products differently (README), and
+then the pins fail with no change to the code.
+
 A change that moves an output byte on purpose updates the pins and states
 the size of the change and its reason in CHANGES.md. A second test checks
 that the evidential head's `score` bytes are the same on 1 and 2 threads.
