@@ -71,7 +71,6 @@ def _parse_ints(text: str) -> list[int]:
 REQUIRED = object()
 # the TrainConfig fields that a train config sets, parsed by their default's type
 _TRAIN_KEYS = (
-    "head",
     "epochs",
     "learning_rate",
     "batch_size",
@@ -102,6 +101,7 @@ SCHEMAS: dict[str, dict] = {
         "features": (_parse_paths, REQUIRED),
         "labels": (_parse_paths, REQUIRED),
         "hidden_dims": (_parse_ints, [256, 64]),
+        "head": (str, "evidential"),
         **{
             f.name: (_PARSERS[type(f.default)], f.default)
             for f in dataclasses.fields(mdl.TrainConfig)
@@ -233,19 +233,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def _score_map_from_model(model: mdl.Estimator, fmap: np.ndarray) -> np.ndarray:
-    prediction = mdl.predict_map(model, fmap)
-    if model.head == "evidential":
-        return ev.lr_score(prediction)
-    return ev.lr_from_sigmoid(prediction)
+_RANK_SHAPES = {2: "H x W", 3: "H x W x D"}
 
 
-def _prob_rows_from_model(model: mdl.Estimator, rows: np.ndarray) -> np.ndarray:
-    logits = mdl.forward(model, rows)
-    if model.head == "evidential":
-        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
-        return ev.expected_prob(alpha)[:, 1]
-    return ev.sigmoid(logits[:, 0])
+def _records(path, **ranks) -> list[np.ndarray]:
+    """The named records of one tensor file, in the order given; each must
+    exist and have the rank given for it, if any (None: any rank)."""
+    records = read_tensor_file(path)
+    found = []
+    for name, ndim in ranks.items():
+        if name not in records:
+            raise DataError(f"{path}: missing {name!r} record")
+        if ndim is not None and records[name].ndim != ndim:
+            raise DataError(f"{path}: {name!r} must be {_RANK_SHAPES[ndim]}")
+        found.append(records[name])
+    return found
 
 
 def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
@@ -262,29 +264,29 @@ def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
         val_fraction=resolved["val_fraction"],
     )
     hidden = resolved["hidden"]
+    edl, bce = mdl.HEADS["evidential"], mdl.HEADS["sigmoid"]
     m_edl, rep_edl = mdl.train(
-        mdl.init_model([1, hidden, 2], seed + 3, "evidential"),
+        mdl.init_model([1, hidden, edl.width], seed + 3, "evidential"),
         features,
         labels,
-        mdl.TrainConfig(seed=seed + 1, head="evidential", **common),
+        mdl.TrainConfig(seed=seed + 1, **common),
     )
     m_bce, rep_bce = mdl.train(
-        mdl.init_model([1, hidden, 1], seed + 4, "sigmoid"),
+        mdl.init_model([1, hidden, bce.width], seed + 4, "sigmoid"),
         features,
         labels,
-        mdl.TrainConfig(seed=seed + 2, head="sigmoid", **common),
+        mdl.TrainConfig(seed=seed + 2, **common),
     )
 
     lo, hi, step = resolved["grid_lo"], resolved["grid_hi"], resolved["grid_step"]
     n_grid = int(round((hi - lo) / step)) + 1
     x = np.linspace(lo, hi, n_grid)
-    alpha = ev.dirichlet_from_evidence(
-        ev.evidence_from_logits(mdl.forward(m_edl, x.reshape(-1, 1)))
-    )
-    p_edl = ev.expected_prob(alpha)[:, 1]
+    logits = mdl.forward(m_edl, x.reshape(-1, 1))
+    alpha = edl.output(logits)
+    p_edl = edl.prob(logits)
     vac = ev.vacuity(alpha)
-    lr_edl = ev.lr_score(alpha)
-    p_bce = ev.sigmoid(mdl.forward(m_bce, x.reshape(-1, 1))[:, 0])
+    lr_edl = edl.score(alpha)
+    p_bce = bce.prob(mdl.forward(m_bce, x.reshape(-1, 1)))
     lr_true = analytic_gaussian_lr(x, resolved["mu0"], resolved["mu1"])
     entropy = ev.binary_entropy(p_bce)
 
@@ -324,16 +326,8 @@ def _load_pixel_rows(feature_paths, label_paths):
     xs, ys = [], []
     dim = None
     for fpath, lpath in zip(feature_paths, label_paths):
-        frec = read_tensor_file(fpath)
-        lrec = read_tensor_file(lpath)
-        if "features" not in frec:
-            raise DataError(f"{fpath}: missing 'features' record")
-        if "labels" not in lrec:
-            raise DataError(f"{lpath}: missing 'labels' record")
-        fm = frec["features"]
-        lab = lrec["labels"]
-        if fm.ndim != 3:
-            raise DataError(f"{fpath}: 'features' must be H x W x D")
+        [fm] = _records(fpath, features=3)
+        [lab] = _records(lpath, labels=None)
         if lab.shape != fm.shape[:2]:
             raise DataError(
                 f"{lpath}: labels shape {lab.shape} does not match "
@@ -354,9 +348,9 @@ def _load_pixel_rows(feature_paths, label_paths):
 def cmd_train(resolved: dict, out_dir: Path) -> list[str]:
     x, y, dim = _load_pixel_rows(resolved["features"], resolved["labels"])
     head = resolved["head"]
-    if head not in mdl.HEAD_WIDTHS:
+    if head not in mdl.HEADS:
         raise ConfigError(f"unknown head: {head!r}")
-    dims = [dim, *resolved["hidden_dims"], mdl.HEAD_WIDTHS[head]]
+    dims = [dim, *resolved["hidden_dims"], mdl.HEADS[head].width]
     settings = {key: resolved[key] for key in _TRAIN_KEYS}
     settings["seed"] += 1  # resolved["seed"] seeds the initial weights
     cfg = mdl.TrainConfig(**settings)
@@ -388,13 +382,8 @@ def cmd_score(resolved: dict, out_dir: Path) -> list[str]:
             f"checkpoint head {model.head!r} does not match requested "
             f"{resolved['head']!r}"
         )
-    frec = read_tensor_file(resolved["features"])
-    if "features" not in frec:
-        raise DataError(f"{resolved['features']}: missing 'features' record")
-    fmap = frec["features"]
-    if fmap.ndim != 3:
-        raise DataError(f"{resolved['features']}: 'features' must be H x W x D")
-    raw = _score_map_from_model(model, fmap)
+    [fmap] = _records(resolved["features"], features=3)
+    raw = mdl.HEADS[model.head].score(mdl.predict_map(model, fmap))
     out_h = resolved["out_height"] or fmap.shape[0]
     out_w = resolved["out_width"] or fmap.shape[1]
     scores = metrics.postprocess_scores(raw, out_h, out_w, resolved["sigma"])
@@ -409,14 +398,8 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
         raise DataError("eval: scores and labels lists differ in length")
     files = []
     for spath, lpath in zip(score_paths, label_paths):
-        srec = read_tensor_file(spath)
-        lrec = read_tensor_file(lpath)
-        if "scores" not in srec:
-            raise DataError(f"{spath}: missing 'scores' record")
-        if "labels" not in lrec:
-            raise DataError(f"{lpath}: missing 'labels' record")
-        s = srec["scores"]
-        lab = lrec["labels"]
+        [s] = _records(spath, scores=2)
+        [lab] = _records(lpath, labels=None)
         if s.shape != lab.shape:
             raise DataError(
                 f"eval: scores {s.shape} and labels {lab.shape} shapes differ"
@@ -461,19 +444,14 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
 
 def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
     checkpoints = {
-        head: resolved[f"checkpoint_{head}"]
-        for head in ("edl", "bce")
-        if resolved[f"checkpoint_{head}"]
+        kind: resolved[f"checkpoint_{head.tag}"]
+        for kind, head in mdl.HEADS.items()
+        if resolved[f"checkpoint_{head.tag}"]
     }
     if not checkpoints:
         raise ConfigError("extrapolate: provide checkpoint_edl and/or checkpoint_bce")
-    trec = read_tensor_file(resolved["train_features"])
-    for record in ("features", "class_ids"):
-        if record not in trec:
-            raise DataError(f"{resolved['train_features']}: missing {record!r} record")
-    feats = trec["features"]
-    ids = trec["class_ids"]
-    if feats.ndim != 3 or ids.shape != feats.shape[:2]:
+    feats, ids = _records(resolved["train_features"], features=3, class_ids=None)
+    if ids.shape != feats.shape[:2]:
         raise DataError("extrapolate: malformed training features/class_ids")
     flat_ids = ids.reshape(-1)
     present = np.unique(flat_ids)
@@ -483,28 +461,25 @@ def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
         raise DataError(f"extrapolate: class ids missing from class_ids: {missing}")
     means = class_means(feats.reshape(-1, feats.shape[2]), flat_ids)
 
-    erec = read_tensor_file(resolved["eval_features"])
-    if "features" not in erec:
-        raise DataError(f"{resolved['eval_features']}: missing 'features' record")
-    emap = erec["features"]
-    if emap.ndim != 3 or emap.shape[2] != feats.shape[2]:
+    [emap] = _records(resolved["eval_features"], features=3)
+    if emap.shape[2] != feats.shape[2]:
         raise DataError("extrapolate: eval features dim mismatch")
     rows = emap.reshape(-1, emap.shape[2])
 
     outputs = []
-    for head, ckpt in checkpoints.items():
+    for kind, ckpt in checkpoints.items():
+        head = mdl.HEADS[kind]
         model = mdl.load_model(ckpt)
-        expected_head = "evidential" if head == "edl" else "sigmoid"
-        if model.head != expected_head:
+        if model.head != kind:
             raise DataError(
-                f"extrapolate: checkpoint_{head} has head {model.head!r}, "
-                f"expected {expected_head!r}"
+                f"extrapolate: checkpoint_{head.tag} has head {model.head!r}, "
+                f"expected {kind!r}"
             )
-        probs = _prob_rows_from_model(model, rows)
+        probs = head.prob(mdl.forward(model, rows))
         analysis = metrics.extrapolation_analysis(
             rows, means, probs, resolved["bin_width"]
         )
-        name = f"extrapolation_{head}.csv"
+        name = f"extrapolation_{head.tag}.csv"
         (out_dir / name).write_text(metrics.binned_csv(analysis), "utf-8")
         outputs.append(name)
     return outputs

@@ -34,7 +34,6 @@ __all__ = [
     "edl_total_loss",
     "edl_loss_grad",
     "sigmoid",
-    "bce_loss",
     "bce_loss_from_logit",
     "bce_grad_from_logit",
     "binary_entropy",
@@ -124,7 +123,10 @@ def edl_log_loss(alpha, y) -> np.ndarray:
 
 
 def dirichlet_kl_to_uniform(alpha_tilde) -> np.ndarray:
-    """Closed-form KL(Dir(a) || Dir(1,1)); log Gamma(K) = 0 for K = 2."""
+    """Closed-form KL(Dir(a) || Dir(1,1)); log Gamma(K) = 0 for K = 2.
+
+    Within 1e-9 of 50-digit mpmath while every concentration is at most 1e5;
+    above that its lgamma terms cancel (Beta(1, b): 5e-7 off at b = 1e8)."""
     alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
     s = alpha_tilde.sum(axis=-1, keepdims=True)
     term = (alpha_tilde - 1.0) * (digamma(alpha_tilde) - digamma(s))
@@ -201,13 +203,6 @@ def sigmoid(z) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def bce_loss(p1, y) -> np.ndarray:
-    """Binary cross entropy -[y1 log p + y0 log(1-p)], p clamped."""
-    p = np.clip(np.asarray(p1, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    y = np.asarray(y, dtype=np.float64)
-    return -(y[..., 1] * np.log(p) + y[..., 0] * np.log1p(-p))
 
 
 def bce_loss_from_logit(z, y1) -> np.ndarray:

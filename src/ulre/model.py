@@ -18,7 +18,7 @@ from . import evidential as ev
 from .numkernel import Rng
 
 __all__ = [
-    "HEAD_WIDTHS",
+    "HEADS",
     "Estimator",
     "TrainConfig",
     "TrainReport",
@@ -31,7 +31,6 @@ __all__ = [
     "load_model",
 ]
 
-HEAD_WIDTHS = {"evidential": 2, "sigmoid": 1}
 CHECKPOINT_FORMAT_VERSION = 1
 # The most rows in one part of a forward pass, and the row multiple that
 # every part boundary falls on. Both are part of the byte contract, because
@@ -57,6 +56,69 @@ _BLOCK_ROWS = 256
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a non-finite loss appears during training."""
+
+
+class _EvidentialHead:
+    """The method: two logits of evidence; the output is alpha = evidence + 1."""
+
+    width = 2
+    tag = "edl"
+
+    def output(self, logits):
+        return ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
+
+    def score(self, output):
+        return ev.lr_score(output)
+
+    def prob(self, logits):
+        return ev.expected_prob(self.output(logits))[:, 1]
+
+    def fit_loss(self, logits, y_onehot) -> float:
+        return float(np.mean(ev.edl_log_loss(self.output(logits), y_onehot)))
+
+    def loss_and_grad(self, logits, y_onehot, epoch: int):
+        if np.isnan(logits).any():  # evidence_from_logits rejects NaN as bad data
+            raise TrainingDivergedError(f"NaN logits at epoch {epoch}")
+        parts = ev.edl_total_loss(self.output(logits), y_onehot, epoch)
+        loss = float(np.mean(parts.total))
+        terms = {
+            "log_loss": float(np.mean(parts.log_loss)),
+            "kl_reg": float(np.mean(parts.kl_reg)),
+        }
+        return loss, terms, ev.edl_loss_grad(logits, y_onehot, epoch)
+
+
+class _SigmoidHead:
+    """The baseline: one logit, binary cross-entropy; the output is P(OOD)."""
+
+    width = 1
+    tag = "bce"
+
+    def output(self, logits):
+        return ev.sigmoid(logits[:, 0])
+
+    def score(self, output):
+        return ev.lr_from_sigmoid(output)
+
+    prob = output  # P(OOD) per row is this head's output
+
+    def fit_loss(self, logits, y_onehot) -> float:
+        return float(np.mean(ev.bce_loss_from_logit(logits[:, 0], y_onehot[:, 1])))
+
+    def loss_and_grad(self, logits, y_onehot, epoch: int):
+        z1 = logits[:, 0]
+        y1 = y_onehot[:, 1]
+        loss = float(np.mean(ev.bce_loss_from_logit(z1, y1)))
+        return loss, {"bce": loss}, ev.bce_grad_from_logit(z1, y1)[:, None]
+
+
+# All that depends on the head kind, keyed by an Estimator's `head`. `tag`
+# names the kind in extrapolate's config keys and file names; `output` is
+# predict_map's per-row result, `score` its likelihood ratio, `prob` P(OOD)
+# per row; `loss_and_grad` gives the mean loss, its terms and the logit
+# gradient. Heads look `ev` functions up when they run, so that a tracer
+# which replaces them sees every call.
+HEADS = {"evidential": _EvidentialHead(), "sigmoid": _SigmoidHead()}
 
 
 @dataclass
@@ -86,7 +148,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    head: str = "evidential"
     early_stopping: bool = False
     patience: int = 5
     val_fraction: float = 0.1
@@ -105,14 +166,14 @@ class TrainReport:
 
 
 def _check_architecture(dims: list[int], head: str, slope: float) -> None:
-    if head not in HEAD_WIDTHS:
+    if head not in HEADS:
         raise ValueError(f"unknown head kind: {head!r}")
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"invalid layer dims: {dims}")
-    if dims[-1] != HEAD_WIDTHS[head]:
+    if dims[-1] != HEADS[head].width:
         raise ValueError(
             f"final width {dims[-1]} incompatible with head {head!r} "
-            f"(needs {HEAD_WIDTHS[head]})"
+            f"(needs {HEADS[head].width})"
         )
     # the activation kernels compute leaky ReLU as max(z, slope * z)
     if not 0.0 <= slope <= 1.0:
@@ -236,24 +297,8 @@ class _Step:
             z += b
             if i < last:
                 h = _leaky(z, slope, out=self.h[i][:n])
-        logits = z
-        if model.head == "evidential":
-            if np.isnan(logits).any():  # evidence_from_logits rejects NaN as bad data
-                raise TrainingDivergedError(f"NaN logits at epoch {epoch}")
-            alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
-            parts = ev.edl_total_loss(alpha, y_onehot, epoch)
-            loss = float(np.mean(parts.total))
-            terms = {
-                "log_loss": float(np.mean(parts.log_loss)),
-                "kl_reg": float(np.mean(parts.kl_reg)),
-            }
-            delta = ev.edl_loss_grad(logits, y_onehot, epoch) / n
-        else:
-            z1 = logits[:, 0]
-            y1 = y_onehot[:, 1]
-            loss = float(np.mean(ev.bce_loss_from_logit(z1, y1)))
-            terms = {"bce": loss}
-            delta = (ev.bce_grad_from_logit(z1, y1) / n)[:, None]
+        loss, terms, delta = HEADS[model.head].loss_and_grad(z, y_onehot, epoch)
+        delta /= n
         for i in range(last, -1, -1):
             h = self.h[i - 1][:n] if i > 0 else xb
             np.matmul(h.T, delta, out=self.grads_w[i])
@@ -277,11 +322,7 @@ def _fit_loss(model: Estimator, x, y_onehot) -> float:
     The annealed KL weight changes across epochs, which would make total
     losses incomparable between epochs; the fit term is the stable yardstick.
     """
-    logits = forward(model, x)
-    if model.head == "evidential":
-        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
-        return float(np.mean(ev.edl_log_loss(alpha, y_onehot)))
-    return float(np.mean(ev.bce_loss_from_logit(logits[:, 0], y_onehot[:, 1])))
+    return HEADS[model.head].fit_loss(forward(model, x), y_onehot)
 
 
 class _Adam:
@@ -331,8 +372,6 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
         raise ValueError(f"train: features must be (N, D), got {x.shape}")
     if y.shape != (x.shape[0],):
         raise ValueError("train: labels must be one row label per feature row")
-    if model.head != cfg.head:
-        raise ValueError(f"model head {model.head!r} != config head {cfg.head!r}")
     if x.shape[0] < cfg.batch_size:
         raise ValueError(
             f"train: need at least batch_size={cfg.batch_size} rows, "
@@ -415,11 +454,8 @@ def predict_map(model: Estimator, fmap):
             f"predict_map: expected (H, W, {model.layer_dims[0]}), got {fm.shape}"
         )
     h, w, d = fm.shape
-    logits = forward(model, fm.reshape(h * w, d))
-    if model.head == "evidential":
-        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
-        return alpha.reshape(h, w, 2)
-    return ev.sigmoid(logits[:, 0]).reshape(h, w)
+    out = HEADS[model.head].output(forward(model, fm.reshape(h * w, d)))
+    return out.reshape(h, w, *out.shape[1:])
 
 
 def save_model(path, model: Estimator) -> None:

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "lgamma",
     "digamma",
-    "trigamma",
     "gaussian_blur",
     "upsample_bilinear",
     "resize_nearest",
@@ -40,7 +39,7 @@ _LANCZOS_COEF = np.array(
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-# Bernoulli-number coefficients B_2k used by the asymptotic tails below.
+# Bernoulli-number coefficients B_2k used by digamma's asymptotic tail.
 _DIGAMMA_TAIL = [
     -1.0 / 12.0,
     1.0 / 120.0,
@@ -48,14 +47,6 @@ _DIGAMMA_TAIL = [
     1.0 / 240.0,
     -1.0 / 132.0,
     691.0 / 32760.0,
-]
-_TRIGAMMA_TAIL = [
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
 ]
 _ASYMPTOTIC_SHIFT = 10.0  # recurrence target; series error < 1e-13 beyond it
 
@@ -93,20 +84,6 @@ def lgamma(x):
     return _unwrap(result, x)
 
 
-def _shifted_tail(x, tail_fn, recurrence_fn):
-    """Apply the recurrence until >= _ASYMPTOTIC_SHIFT, then the series."""
-    y = np.atleast_1d(x).astype(np.float64).ravel().copy()
-    acc = np.zeros_like(y)
-    # any positive start reaches the shift point within ceil(shift) steps
-    for _ in range(int(_ASYMPTOTIC_SHIFT)):
-        small = y < _ASYMPTOTIC_SHIFT
-        if not small.any():
-            break
-        acc[small] += recurrence_fn(y[small])
-        y[small] += 1.0
-    return acc + tail_fn(y)
-
-
 def digamma(x):
     """Digamma function psi(x) for x > 0.
 
@@ -114,37 +91,23 @@ def digamma(x):
     the Stirling-type asymptotic series is applied.
     """
     arr = _as_positive_array(x, "digamma")
-
-    def tail(y):
-        inv = 1.0 / y
-        inv2 = inv * inv
-        series = np.zeros_like(y)
-        power = inv2.copy()
-        for coef in _DIGAMMA_TAIL:
-            series += coef * power
-            power = power * inv2
-        return np.log(y) - 0.5 * inv + series
-
-    result = _shifted_tail(arr, tail, lambda y: -1.0 / y)
-    return _unwrap(result, x)
-
-
-def trigamma(x):
-    """Trigamma function psi'(x) for x > 0 (same shift-then-series scheme)."""
-    arr = _as_positive_array(x, "trigamma")
-
-    def tail(y):
-        inv = 1.0 / y
-        inv2 = inv * inv
-        series = np.zeros_like(y)
-        power = inv * inv2
-        for coef in _TRIGAMMA_TAIL:
-            series += coef * power
-            power = power * inv2
-        return inv + 0.5 * inv2 + series
-
-    result = _shifted_tail(arr, tail, lambda y: 1.0 / (y * y))
-    return _unwrap(result, x)
+    y = arr.flatten()
+    acc = np.zeros_like(y)
+    # any positive start reaches the shift point within ceil(shift) steps
+    for _ in range(int(_ASYMPTOTIC_SHIFT)):
+        small = y < _ASYMPTOTIC_SHIFT
+        if not small.any():
+            break
+        acc[small] += -1.0 / y[small]
+        y[small] += 1.0
+    inv = 1.0 / y
+    inv2 = inv * inv
+    series = np.zeros_like(y)
+    power = inv2
+    for coef in _DIGAMMA_TAIL:
+        series += coef * power
+        power = power * inv2
+    return _unwrap(acc + (np.log(y) - 0.5 * inv + series), x)
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:

@@ -201,16 +201,14 @@ def _paired_extrapolation_benchmark(seed: int) -> dict:
     x = np.concatenate(rows)
     y = np.concatenate(labels)
 
-    def cfg(head):
-        return mdl.TrainConfig(
-            epochs=40, learning_rate=1e-3, batch_size=1024, seed=seed + 1, head=head
-        )
-
+    cfg = mdl.TrainConfig(
+        epochs=40, learning_rate=1e-3, batch_size=1024, seed=seed + 1
+    )
     m_edl, _ = mdl.train(
-        mdl.init_model([d, 256, 64, 2], seed + 3, "evidential"), x, y, cfg("evidential")
+        mdl.init_model([d, 256, 64, 2], seed + 3, "evidential"), x, y, cfg
     )
     m_bce, _ = mdl.train(
-        mdl.init_model([d, 256, 64, 1], seed + 3, "sigmoid"), x, y, cfg("sigmoid")
+        mdl.init_model([d, 256, 64, 1], seed + 3, "sigmoid"), x, y, cfg
     )
 
     all_means = np.concatenate([id_dirs, proxy[None, :]])

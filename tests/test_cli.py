@@ -82,13 +82,14 @@ class TestConfigParsing:
         resolved = cli.resolve_config("train", {"features": "a", "labels": "b"})
         defaults = mdl.TrainConfig()
         keys = {
-            "head", "epochs", "learning_rate", "batch_size", "seed",
+            "epochs", "learning_rate", "batch_size", "seed",
             "early_stopping", "patience", "val_fraction",
         }
-        assert set(resolved) == keys | {"features", "labels", "hidden_dims"}
+        assert set(resolved) == keys | {"features", "labels", "hidden_dims", "head"}
         for key in keys:
             assert resolved[key] == getattr(defaults, key), key
             assert type(resolved[key]) is type(getattr(defaults, key)), key
+        assert resolved["head"] == "evidential"
         raw = {"features": "a", "labels": "b", "early_stopping": "yes"}
         overridden = cli.resolve_config("train", {**raw, "learning_rate": "1e-3"})
         assert overridden["early_stopping"] is True
@@ -179,6 +180,46 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.cfg", checkpoint=str(ckpt), features=str(feat))
         assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["missing", "rank"])
+    @pytest.mark.parametrize("command", ["train", "score", "eval", "extrapolate"])
+    def test_bad_input_record_is_3_and_names_the_file(
+        self, tmp_path, capsys, command, fault
+    ):
+        scene = {
+            "features": np.zeros((4, 4, 4)),
+            "labels": np.zeros((4, 4), dtype=np.uint8),
+            "class_ids": np.zeros((4, 4), dtype=np.uint8),
+        }
+        good = tmp_path / "good.ulre"
+        write_tensor_file(good, scene)
+        ckpt = tmp_path / "model.ulre"
+        mdl.save_model(ckpt, mdl.init_model([4, 8, 2], seed=0))
+        # the file differs from a good one in the named record only
+        if command == "eval":
+            name, shape = "scores", "H x W"
+        else:
+            name, shape = "features", "H x W x D"
+        bad = tmp_path / "bad.ulre"
+        records = {k: v for k, v in scene.items() if k != name}
+        if fault == "rank":
+            records[name] = np.zeros(16)
+        write_tensor_file(bad, records)
+        inputs = {
+            "train": {"features": bad, "labels": good},
+            "score": {"checkpoint": ckpt, "features": bad},
+            "eval": {"scores": bad, "labels": good},
+            "extrapolate": {
+                "train_features": bad, "eval_features": good, "checkpoint_edl": ckpt
+            },
+        }[command]
+        cfg = write_config(tmp_path / "c.cfg", **inputs)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        message = (
+            f"missing {name!r} record" if fault == "missing"
+            else f"{name!r} must be {shape}"
+        )
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
 
     def test_success_is_0(self, tmp_path):
         cfg = write_config(

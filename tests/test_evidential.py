@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate, special
 
 from ulre import evidential as ev
-from ulre.numkernel import trigamma
 
 Y0 = np.array([1.0, 0.0])  # in-distribution label
 Y1 = np.array([0.0, 1.0])  # out-of-distribution label
@@ -225,21 +224,25 @@ class TestTotalLoss:
 
 class TestBce:
     def test_values(self):
-        assert ev.bce_loss(0.5, Y0) == pytest.approx(math.log(2.0))
-        assert ev.bce_loss(0.5, Y1) == pytest.approx(math.log(2.0))
-        assert ev.bce_loss(0.9, Y1) == pytest.approx(0.1053605, abs=1e-7)
-        assert ev.bce_loss(0.9, Y0) == pytest.approx(2.3025851, abs=1e-7)
+        # sigmoid(+-ln 9) = 0.9 and 0.1
+        z = math.log(9.0)
+        assert ev.bce_loss_from_logit(0.0, 0.0) == pytest.approx(math.log(2.0))
+        assert ev.bce_loss_from_logit(0.0, 1.0) == pytest.approx(math.log(2.0))
+        assert ev.bce_loss_from_logit(z, 1.0) == pytest.approx(0.1053605, abs=1e-7)
+        assert ev.bce_loss_from_logit(z, 0.0) == pytest.approx(2.3025851, abs=1e-7)
+        assert ev.bce_loss_from_logit(-z, 0.0) == pytest.approx(0.1053605, abs=1e-7)
+        assert ev.bce_loss_from_logit(-z, 1.0) == pytest.approx(2.3025851, abs=1e-7)
 
     def test_logit_form_matches(self):
         rng = np.random.default_rng(8)
         z = rng.uniform(-10, 10, 200)
         y1 = rng.integers(0, 2, 200).astype(float)
         y = np.stack([1.0 - y1, y1], axis=-1)
+        # the probability form, with p clamped away from 0 and 1
+        p = np.clip(ev.sigmoid(z), ev.PROB_EPS, 1.0 - ev.PROB_EPS)
+        want = -(y[..., 1] * np.log(p) + y[..., 0] * np.log1p(-p))
         np.testing.assert_allclose(
-            ev.bce_loss_from_logit(z, y1),
-            ev.bce_loss(ev.sigmoid(z), y),
-            rtol=1e-9,
-            atol=1e-12,
+            ev.bce_loss_from_logit(z, y1), want, rtol=1e-9, atol=1e-12
         )
 
     def test_logit_grad(self):
@@ -312,9 +315,9 @@ def old_edl_loss_grad(o, y, epoch):
     dlog = 1.0 / s - y / alpha
     alpha_tilde = y + (1.0 - y) * alpha
     s_tilde = alpha_tilde.sum(axis=-1, keepdims=True)
-    dkl_datilde = (alpha_tilde - 1.0) * trigamma(alpha_tilde) - trigamma(
-        s_tilde
-    ) * (s_tilde - 2.0)
+    dkl_datilde = (alpha_tilde - 1.0) * special.polygamma(
+        1, alpha_tilde
+    ) - special.polygamma(1, s_tilde) * (s_tilde - 2.0)
     passthrough = (np.abs(o) <= ev.LOGIT_CLAMP).astype(np.float64)
     return e * (dlog + lam * (1.0 - y) * dkl_datilde) * passthrough
 

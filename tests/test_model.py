@@ -359,7 +359,6 @@ class TestBufferedStep:
             learning_rate=3e-2,
             batch_size=128,
             seed=36,
-            head=head,
             early_stopping=early_stopping,
             patience=2,
         )
@@ -406,7 +405,7 @@ class TestTrain:
     def test_separable_blobs_high_accuracy(self):
         x, y = make_blobs()
         cfg = mdl.TrainConfig(
-            epochs=30, learning_rate=3e-3, batch_size=256, seed=12, head="evidential"
+            epochs=30, learning_rate=3e-3, batch_size=256, seed=12
         )
         m, report = mdl.train(mdl.init_model([2, 8, 2], 13), x, y, cfg)
         alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(mdl.forward(m, x)))
@@ -417,7 +416,7 @@ class TestTrain:
     def test_sigmoid_head_blobs(self):
         x, y = make_blobs(seed=1)
         cfg = mdl.TrainConfig(
-            epochs=30, learning_rate=3e-3, batch_size=256, seed=14, head="sigmoid"
+            epochs=30, learning_rate=3e-3, batch_size=256, seed=14
         )
         m, _ = mdl.train(mdl.init_model([2, 8, 1], 15, "sigmoid"), x, y, cfg)
         pred = (ev.sigmoid(mdl.forward(m, x)[:, 0]) > 0.5).astype(int)
@@ -430,7 +429,6 @@ class TestTrain:
             learning_rate=1e-3,
             batch_size=128,
             seed=16,
-            head="evidential",
             early_stopping=True,
             patience=3,
         )
@@ -448,7 +446,6 @@ class TestTrain:
             learning_rate=5e-3,
             batch_size=128,
             seed=18,
-            head="evidential",
             early_stopping=True,
             patience=2,
             val_fraction=0.2,
@@ -480,7 +477,7 @@ class TestTrain:
         x = np.full((300, 2), 1e308)
         y = np.concatenate([np.zeros(150, dtype=int), np.ones(150, dtype=int)])
         cfg = mdl.TrainConfig(
-            epochs=2, learning_rate=1e-3, batch_size=128, seed=22, head="sigmoid"
+            epochs=2, learning_rate=1e-3, batch_size=128, seed=22
         )
         with pytest.raises(mdl.TrainingDivergedError, match="epoch 0"):
             mdl.train(mdl.init_model([2, 4, 1], 23, "sigmoid"), x, y, cfg)
@@ -490,12 +487,6 @@ class TestTrain:
         cfg = mdl.TrainConfig(batch_size=1024)
         with pytest.raises(ValueError):
             mdl.train(mdl.init_model([2, 4, 2], 24), x, y, cfg)
-
-    def test_head_mismatch(self):
-        x, y = make_blobs()
-        cfg = mdl.TrainConfig(batch_size=256, head="sigmoid")
-        with pytest.raises(ValueError):
-            mdl.train(mdl.init_model([2, 4, 2], 25), x, y, cfg)
 
 
 class TestPredictMap:

@@ -10,7 +10,6 @@ from ulre.numkernel import (
     gaussian_blur,
     lgamma,
     resize_nearest,
-    trigamma,
     upsample_bilinear,
 )
 
@@ -75,26 +74,6 @@ class TestDigamma:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             digamma(bad)
-
-
-class TestTrigamma:
-    def test_against_scipy(self):
-        rng = np.random.default_rng(5)
-        x = np.concatenate([rng.uniform(0.5, 100, 300), np.geomspace(100, 1e5, 100)])
-        np.testing.assert_allclose(
-            trigamma(x), special.polygamma(1, x), rtol=1e-12, atol=1e-12
-        )
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(6)
-        x = rng.uniform(0.5, 50, 200)
-        np.testing.assert_allclose(
-            trigamma(x) - trigamma(x + 1.0), 1.0 / x**2, rtol=0, atol=1e-9
-        )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            trigamma(-1.0)
 
 
 class TestGaussianBlur:
