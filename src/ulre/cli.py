@@ -69,17 +69,9 @@ def _parse_ints(text: str) -> list[int]:
 
 # key -> (converter, default); required keys carry the REQUIRED sentinel
 REQUIRED = object()
-# the TrainConfig fields that a train config sets, parsed by their default's type
-_TRAIN_KEYS = (
-    "epochs",
-    "learning_rate",
-    "batch_size",
-    "seed",
-    "early_stopping",
-    "patience",
-    "val_fraction",
-)
 _PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+# a train config sets every TrainConfig field, parsed by its default's type
+_TRAIN_FIELDS = dataclasses.fields(mdl.TrainConfig)
 
 SCHEMAS: dict[str, dict] = {
     "toy-gaussian": {
@@ -102,11 +94,7 @@ SCHEMAS: dict[str, dict] = {
         "labels": (_parse_paths, REQUIRED),
         "hidden_dims": (_parse_ints, [256, 64]),
         "head": (str, "evidential"),
-        **{
-            f.name: (_PARSERS[type(f.default)], f.default)
-            for f in dataclasses.fields(mdl.TrainConfig)
-            if f.name in _TRAIN_KEYS
-        },
+        **{f.name: (_PARSERS[type(f.default)], f.default) for f in _TRAIN_FIELDS},
     },
     "score": {
         "checkpoint": (str, REQUIRED),
@@ -157,7 +145,10 @@ SCHEMAS: dict[str, dict] = {
 def load_config(path) -> dict[str, str]:
     """Parse a flat key=value text file; '#' starts a comment line."""
     raw: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -351,31 +342,22 @@ def cmd_train(resolved: dict, out_dir: Path) -> list[str]:
     if head not in mdl.HEADS:
         raise ConfigError(f"unknown head: {head!r}")
     dims = [dim, *resolved["hidden_dims"], mdl.HEADS[head].width]
-    settings = {key: resolved[key] for key in _TRAIN_KEYS}
+    settings = {f.name: resolved[f.name] for f in _TRAIN_FIELDS}
     settings["seed"] += 1  # resolved["seed"] seeds the initial weights
     cfg = mdl.TrainConfig(**settings)
-    model, report = mdl.train(
-        mdl.init_model(dims, resolved["seed"], head), x, y, cfg
-    )
+    model, report = mdl.train(mdl.init_model(dims, resolved["seed"], head), x, y, cfg)
     mdl.save_model(out_dir / "model.ulre", model)
-    _write_json(
-        out_dir / "train_report.json",
-        {
-            "train_loss": report.train_loss,
-            "val_loss": report.val_loss,
-            "lambdas": report.lambdas,
-            "epochs_run": report.epochs_run,
-            "stopped_epoch": report.stopped_epoch,
-            "best_epoch": report.best_epoch,
-            "n_train": report.n_train,
-            "n_val": report.n_val,
-            "layer_dims": dims,
-        },
-    )
+    report_json = {**dataclasses.asdict(report), "layer_dims": dims}
+    _write_json(out_dir / "train_report.json", report_json)
     return ["model.ulre", "train_report.json"]
 
 
 def cmd_score(resolved: dict, out_dir: Path) -> list[str]:
+    if not 0.0 < resolved["sigma"] < np.inf:
+        raise ConfigError("config key 'sigma': must be positive and finite")
+    for key in ("out_height", "out_width"):  # 0 keeps the input's size
+        if resolved[key] < 0:
+            raise ConfigError(f"config key {key!r}: must be >= 0")
     model = mdl.load_model(resolved["checkpoint"])
     if resolved["head"] and resolved["head"] != model.head:
         raise DataError(

@@ -52,6 +52,8 @@ _FORWARD_ALIGN = 64
 # bits of a whole part on every block of 2 rows or more; a 1-row product
 # (numpy's gemv) does not, so no block is a short tail.
 _BLOCK_ROWS = 256
+# Adam's decay rates and guard: the defaults of Kingma & Ba (ICLR 2015)
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -129,24 +131,12 @@ class Estimator:
     slope: float = 0.01
     head: str = "evidential"
 
-    def copy(self) -> "Estimator":
-        return Estimator(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.slope,
-            self.head,
-        )
-
 
 @dataclass
 class TrainConfig:
     epochs: int = 10
     learning_rate: float = 2e-5
     batch_size: int = 1024
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     early_stopping: bool = False
     patience: int = 5
@@ -269,22 +259,31 @@ def forward(model: Estimator, features) -> np.ndarray:
     return logits
 
 
+def _views(flat: np.ndarray, layer_dims: list[int]):
+    """The (weights, biases) lists of a network of `layer_dims`, as views
+    into one flat vector: all weights in layer order, then all biases."""
+    shapes = list(zip(layer_dims[:-1], layer_dims[1:]))
+    ends = np.cumsum([a * b for a, b in shapes] + layer_dims[1:])
+    parts = np.split(flat, ends[:-1])
+    return [p.reshape(s) for p, s in zip(parts, shapes)], parts[len(shapes) :]
+
+
 class _Step:
     """Mean loss and parameter gradients of one mini-batch of up to `rows`
     rows, computed in buffers allocated once.
 
     Per hidden layer it keeps the pre-activation z and the activation h;
     the backward pass turns z into the leaky-ReLU gradient mask and writes
-    the layer's delta over h once the weight gradient has read it. The
-    gradients returned by one call are overwritten by the next.
+    the layer's delta over h once the weight gradient has read it. Each
+    call overwrites the flat `grad` (see `_views`) and returns its views.
     """
 
     def __init__(self, model: Estimator, rows: int):
         self.model = model
         self.z = [np.empty((rows, d)) for d in model.layer_dims[1:]]
         self.h = [np.empty((rows, d)) for d in model.layer_dims[1:-1]]
-        self.grads_w = [np.empty_like(w) for w in model.weights]
-        self.grads_b = [np.empty_like(b) for b in model.biases]
+        self.grad = np.empty(sum(p.size for p in model.weights + model.biases))
+        self.grads_w, self.grads_b = _views(self.grad, model.layer_dims)
 
     def __call__(self, xb, y_onehot, epoch: int):
         model = self.model
@@ -311,11 +310,6 @@ class _Step:
         return loss, terms, self.grads_w, self.grads_b
 
 
-def _batch_loss_grads(model: Estimator, xb, y_onehot, epoch: int):
-    """Mean loss over the batch, its term breakdown, and parameter grads."""
-    return _Step(model, xb.shape[0])(xb, y_onehot, epoch)
-
-
 def _fit_loss(model: Estimator, x, y_onehot) -> float:
     """Classification-fit loss only (no regularizer): the validation metric.
 
@@ -326,37 +320,33 @@ def _fit_loss(model: Estimator, x, y_onehot) -> float:
 
 
 class _Adam:
-    def __init__(self, model: Estimator, cfg: TrainConfig):
-        params = model.weights + model.biases
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
-        self.t = 0
-        self.cfg = cfg
+    """Adam over one flat vector of `size` parameters."""
 
-    def step(self, model: Estimator, grads_w, grads_b) -> None:
+    def __init__(self, size: int, learning_rate: float):
+        self.state = np.zeros((4, size))  # the two moments and two scratch rows
+        self.t = 0
+        self.learning_rate = learning_rate
+
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
         """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), evaluated in place
         in the order that expression gives."""
         self.t += 1
-        cfg = self.cfg
-        params = model.weights + model.biases
-        grads = grads_w + grads_b
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
-        for p, g, m, v, (s, r) in zip(params, grads, self.m, self.v, self.scratch):
-            m *= cfg.beta1
-            m += np.multiply(g, 1.0 - cfg.beta1, out=s)
-            v *= cfg.beta2
-            np.multiply(g, 1.0 - cfg.beta2, out=s)
-            s *= g
-            v += s
-            np.divide(m, bc1, out=s)
-            s *= cfg.learning_rate
-            np.divide(v, bc2, out=r)
-            np.sqrt(r, out=r)
-            r += cfg.adam_eps
-            s /= r
-            p -= s
+        bc1 = 1.0 - _ADAM_BETA1**self.t
+        bc2 = 1.0 - _ADAM_BETA2**self.t
+        m, v, s, r = self.state
+        m *= _ADAM_BETA1
+        m += np.multiply(g, 1.0 - _ADAM_BETA1, out=s)
+        v *= _ADAM_BETA2
+        np.multiply(g, 1.0 - _ADAM_BETA2, out=s)
+        s *= g
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= self.learning_rate
+        np.divide(v, bc2, out=r)
+        np.sqrt(r, out=r)
+        r += _ADAM_EPS
+        s /= r
+        p -= s
 
 
 def train(model: Estimator, features, labels, cfg: TrainConfig):
@@ -364,7 +354,8 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
 
     Deterministic given cfg.seed: the validation split (when early stopping
     is enabled) and every epoch's shuffle come from one seeded stream. Early
-    stopping restores the parameters of the best validation epoch.
+    stopping restores the parameters of the best validation epoch. The model
+    returned is the one passed in, its parameters now views into one vector.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -397,10 +388,15 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
     n_train = x_train.shape[0]
 
     report = TrainReport(n_train=n_train, n_val=n_val)
-    opt = _Adam(model, cfg)
     step = _Step(model, cfg.batch_size)
+    params = np.empty_like(step.grad)
+    weights, biases = _views(params, model.layer_dims)
+    for view, p in zip(weights + biases, model.weights + model.biases):
+        view[...] = p
+    model.weights, model.biases = weights, biases
+    opt = _Adam(params.size, cfg.learning_rate)
     best_val = np.inf
-    best_params: Estimator | None = None
+    best_params = None
     since_best = 0
 
     for epoch in range(cfg.epochs):
@@ -408,14 +404,14 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, terms, gw, gb = step(x_train[batch], y_train[batch], epoch)
+            loss, terms, _, _ = step(x_train[batch], y_train[batch], epoch)
             if not np.isfinite(loss):
                 detail = ", ".join(f"{k}={val:.6g}" for k, val in terms.items())
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, "
                     f"batch {start // cfg.batch_size} ({detail})"
                 )
-            opt.step(model, gw, gb)
+            opt.step(params, step.grad)
             epoch_loss += loss * len(batch)
         report.train_loss.append(epoch_loss / n_train)
         report.lambdas.append(ev.lambda_schedule(epoch))
@@ -426,7 +422,7 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
             report.val_loss.append(val)
             if val < best_val:
                 best_val = val
-                best_params = model.copy()
+                best_params = params.copy()
                 report.best_epoch = epoch
                 since_best = 0
             else:
@@ -435,10 +431,8 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
                     report.stopped_epoch = epoch
                     break
 
-    if cfg.early_stopping and best_params is not None:
-        model.layer_dims = best_params.layer_dims
-        model.weights = best_params.weights
-        model.biases = best_params.biases
+    if best_params is not None:
+        params[...] = best_params
     return model, report
 
 

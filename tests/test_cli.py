@@ -221,6 +221,40 @@ class TestExitCodes:
         )
         assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
 
+    @pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_is_2_and_names_it(self, tmp_path, capsys, fault):
+        path = tmp_path / "c.cfg"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "not_utf8":
+            path.write_bytes(b"seed=\xff\n")
+        out = tmp_path / "out"
+        argv = ["gen-synthetic", "--config", str(path), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("sigma", "0"), ("sigma", "-0.5"), ("sigma", "nan"), ("sigma", "inf"),
+         ("out_height", "-1"), ("out_width", "-3")],
+    )
+    def test_bad_score_geometry_is_2_and_names_the_key(
+        self, tmp_path, capsys, key, value
+    ):
+        ckpt = tmp_path / "model.ulre"
+        mdl.save_model(ckpt, mdl.init_model([4, 8, 2], seed=0))
+        feat = tmp_path / "f.ulre"
+        write_tensor_file(feat, {"features": np.zeros((4, 4, 4))})
+        cfg = write_config(
+            tmp_path / "c.cfg", checkpoint=ckpt, features=feat, **{key: value}
+        )
+        out = tmp_path / "out"
+        assert cli.main(["score", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key {key!r}: ")
+        assert not any(out.iterdir())
+
     def test_success_is_0(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.cfg", n_scenes=1, height=8, width=8, dim=3, n_classes=2,

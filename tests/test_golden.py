@@ -14,8 +14,9 @@ small-matrix kernels and round some products differently (README), and
 then the pins fail with no change to the code.
 
 A change that moves an output byte on purpose updates the pins and states
-the size of the change and its reason in CHANGES.md. A second test checks
-that the evidential head's `score` bytes are the same on 1 and 2 threads.
+the size of the change and its reason in CHANGES.md. Two more tests check
+that the evidential head's `score` and `train` bytes are the same on 1 and
+2 threads.
 """
 
 import json
@@ -188,6 +189,15 @@ def score_maps(prefix: str) -> dict[str, str]:
     return hashes
 
 
+def train_checkpoint(out: str) -> str:
+    """Train an evidential 16-256-64-2 net on `rows.ulre` in the current
+    directory, with early stopping off; return the checkpoint's sha256."""
+    cfg = {"features": "rows.ulre", "labels": "rows.ulre", "epochs": "2",
+           "learning_rate": "1e-3", "batch_size": "1024"}
+    _cli("train", out, cfg)
+    return cli._sha256(Path(out, "model.ulre"))
+
+
 def _in_child(call: str, cwd: Path, blas_threads: int):
     """json.loads of what `call`, an expression on this module, returns in a
     fresh interpreter with OpenBLAS pinned to `blas_threads` threads."""
@@ -227,4 +237,22 @@ def test_evidential_score_bytes_do_not_depend_on_blas_threads(tmp_path):
         for n in (1, 2)
     )
     assert len(one) == 3
+    assert one == two
+
+
+def test_evidential_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 8,192 rows make eight full batches of 1,024 per epoch. The weight
+    # gradients' bits depend on the thread count at some batch row counts
+    # and not at others (README), 1,024 among the latter, so no batch here
+    # is a short one.
+    rng = np.random.default_rng(8)
+    write_tensor_file(
+        tmp_path / "rows.ulre",
+        {"features": rng.normal(size=(64, 128, 16)),
+         "labels": rng.integers(0, 2, size=(64, 128), dtype=np.uint8)},
+    )
+    one, two = (
+        _in_child(f"test_golden.train_checkpoint('t{n}')", tmp_path, blas_threads=n)
+        for n in (1, 2)
+    )
     assert one == two

@@ -227,7 +227,7 @@ class TestBackprop:
         y = ev.one_hot(rng.integers(0, 2, 16))
         step = 1e-3
         for epoch in (0, 20):
-            _, _, gw, gb = mdl._batch_loss_grads(m, x, y, epoch)
+            _, _, gw, gb = mdl._Step(m, len(x))(x, y, epoch)
             worst = 0.0
             for params, grads in ((m.weights, gw), (m.biases, gb)):
                 for p, g in zip(params, grads):
@@ -235,9 +235,9 @@ class TestBackprop:
                     for k in range(flat_p.size):
                         orig = flat_p[k]
                         flat_p[k] = orig + step
-                        lp = mdl._batch_loss_grads(m, x, y, epoch)[0]
+                        lp = mdl._Step(m, len(x))(x, y, epoch)[0]
                         flat_p[k] = orig - step
-                        lm = mdl._batch_loss_grads(m, x, y, epoch)[0]
+                        lm = mdl._Step(m, len(x))(x, y, epoch)[0]
                         flat_p[k] = orig
                         fd = (lp - lm) / (2 * step)
                         rel = abs(flat_g[k] - fd) / max(
@@ -309,6 +309,7 @@ def _reference_train(model, x, labels, cfg):
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     t = 0
+    beta1, beta2, eps = mdl._ADAM_BETA1, mdl._ADAM_BETA2, mdl._ADAM_EPS
     train_loss, val_loss = [], []
     best, best_params, since_best = np.inf, None, 0
     for epoch in range(cfg.epochs):
@@ -319,14 +320,14 @@ def _reference_train(model, x, labels, cfg):
             xb, yb = x_train[batch], y_train[batch]
             loss, gw, gb = _reference_batch(model, xb, yb, epoch)
             t += 1
-            bc1 = 1.0 - cfg.beta1**t
-            bc2 = 1.0 - cfg.beta2**t
+            bc1 = 1.0 - beta1**t
+            bc2 = 1.0 - beta2**t
             for p, g, mp, vp in zip(params, gw + gb, m, v):
-                mp *= cfg.beta1
-                mp += (1.0 - cfg.beta1) * g
-                vp *= cfg.beta2
-                vp += (1.0 - cfg.beta2) * g * g
-                p -= cfg.learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + cfg.adam_eps)
+                mp *= beta1
+                mp += (1.0 - beta1) * g
+                vp *= beta2
+                vp += (1.0 - beta2) * g * g
+                p -= cfg.learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + eps)
             total += loss * len(batch)
         train_loss.append(total / x_train.shape[0])
         if cfg.early_stopping:
@@ -380,7 +381,7 @@ class TestBufferedStep:
         x = rng.normal(size=(50, 3))
         y = ev.one_hot(rng.integers(0, 2, 50))
         for epoch in (0, 4, 12):
-            loss, terms, gw, gb = mdl._batch_loss_grads(m, x, y, epoch)
+            loss, terms, gw, gb = mdl._Step(m, len(x))(x, y, epoch)
             want_loss, want_w, want_b = _reference_batch(m, x, y, epoch)
             assert loss == want_loss
             assert set(terms) == {"log_loss", "kl_reg"}
@@ -390,18 +391,26 @@ class TestBufferedStep:
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        m = mdl.init_model([3, 4, 2], seed=11)
-        before = [p.copy() for p in m.weights + m.biases]
-        opt = mdl._Adam(m, mdl.TrainConfig(learning_rate=0.1))
-        zeros_w = [np.zeros_like(w) for w in m.weights]
-        zeros_b = [np.zeros_like(b) for b in m.biases]
+        p = np.random.default_rng(11).normal(size=26)
+        before = p.copy()
+        opt = mdl._Adam(p.size, learning_rate=0.1)
         for _ in range(3):
-            opt.step(m, zeros_w, zeros_b)
-        for p, q in zip(m.weights + m.biases, before):
-            np.testing.assert_array_equal(p, q)
+            opt.step(p, np.zeros_like(p))
+        np.testing.assert_array_equal(p, before)
 
 
 class TestTrain:
+    def test_parameters_become_views_of_one_vector(self):
+        x, y = make_blobs(n=100, seed=2)
+        cfg = mdl.TrainConfig(epochs=1, batch_size=64)
+        m, _ = mdl.train(mdl.init_model([2, 5, 3, 2], 3), x, y, cfg)
+        params = m.weights + m.biases
+        flat = m.weights[0].base
+        assert all(p.base is flat for p in params)
+        # every weight in layer order, then every bias, each exactly once
+        assert flat.shape == (2 * 5 + 5 * 3 + 3 * 2 + 5 + 3 + 2,)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), flat)
+
     def test_separable_blobs_high_accuracy(self):
         x, y = make_blobs()
         cfg = mdl.TrainConfig(
