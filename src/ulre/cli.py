@@ -187,6 +187,36 @@ def resolve_config(command: str, raw: dict[str, str], seed_override=None) -> dic
     return resolved
 
 
+# key -> (test of its value, given the whole config; the rule it states).
+# A key means the same in every command that has it, and is checked there.
+_AT_LEAST_1 = (lambda v, cfg: v >= 1, ">= 1")
+_AT_LEAST_0 = (lambda v, cfg: v >= 0, ">= 0")  # score: 0 keeps the input's size
+_RULES = {
+    "epochs": _AT_LEAST_1,
+    "batch_size": _AT_LEAST_1,
+    "patience": _AT_LEAST_1,
+    "hidden": _AT_LEAST_1,
+    "hidden_dims": (lambda v, cfg: all(d >= 1 for d in v), ">= 1 in every entry"),
+    # toy-gaussian has no early_stopping key: it always stops early
+    "val_fraction": (
+        lambda v, cfg: 0.0 < v < 1.0 or not cfg.get("early_stopping", True),
+        "in (0, 1) with early stopping",
+    ),
+    "grid_step": (lambda v, cfg: v > 0.0, "> 0"),
+    "grid_hi": (lambda v, cfg: v > cfg["grid_lo"], "> grid_lo"),
+    "sigma": (lambda v, cfg: 0.0 < v < np.inf, "positive and finite"),
+    "out_height": _AT_LEAST_0,
+    "out_width": _AT_LEAST_0,
+}
+
+
+def _check_values(resolved: dict) -> None:
+    """Raise a ConfigError naming the first key whose value breaks its rule."""
+    for key, (test, rule) in _RULES.items():
+        if key in resolved and not test(resolved[key], resolved):
+            raise ConfigError(f"config key {key!r}: must be {rule}")
+
+
 def _require_files(resolved: dict, keys: list[str]) -> None:
     for key in keys:
         value = resolved[key]
@@ -353,11 +383,6 @@ def cmd_train(resolved: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_score(resolved: dict, out_dir: Path) -> list[str]:
-    if not 0.0 < resolved["sigma"] < np.inf:
-        raise ConfigError("config key 'sigma': must be positive and finite")
-    for key in ("out_height", "out_width"):  # 0 keeps the input's size
-        if resolved[key] < 0:
-            raise ConfigError(f"config key {key!r}: must be >= 0")
     model = mdl.load_model(resolved["checkpoint"])
     if resolved["head"] and resolved["head"] != model.head:
         raise DataError(
@@ -378,7 +403,7 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
     label_paths = resolved["labels"]
     if len(score_paths) != len(label_paths):
         raise DataError("eval: scores and labels lists differ in length")
-    files = []
+    parts, positives, file_pos = [], [], []
     for spath, lpath in zip(score_paths, label_paths):
         [s] = _records(spath, scores=2)
         [lab] = _records(lpath, labels=None)
@@ -390,31 +415,28 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
         n_pos = int(np.count_nonzero(positive))
         if np.count_nonzero(lab == 0) != lab.size - n_pos:
             raise DataError(f"{lpath}: labels contain non-binary values")
-        files.append((spath, s.ravel(), positive, n_pos))
+        parts.append(s.ravel())
+        positives.append(positive)
+        file_pos.append(n_pos)
     # pool every file into one score and one label array and drop the
-    # per-file arrays; each file's entries are then views into the pool
-    n_px = sum(len(positive) for _, _, positive, _ in files)
-    scores = np.empty(n_px)
-    labels = np.empty(n_px, dtype=bool)
-    per_file = []
-    stop = 0
-    for spath, s, positive, n_pos in files:
-        start, stop = stop, stop + len(s)
-        scores[start:stop] = s
-        labels[start:stop] = positive
-        per_file.append((spath, start, stop, n_pos))
-    del files
-    n_pos = sum(entry[3] for entry in per_file)
+    # per-file arrays; each file's entries are then a slice of the pool
+    scores = np.concatenate(parts, dtype=np.float64)
+    labels = np.concatenate(positives)
+    bounds = np.cumsum([0, *map(len, parts)]).tolist()
+    del parts, positives
+    n_px, n_pos = len(scores), sum(file_pos)
     try:
         ap, fpr95 = metrics.ap_and_fpr95(scores, labels)
         payload = {"ap": ap, "fpr95": fpr95, "n_pos": n_pos, "n_neg": n_px - n_pos}
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    if len(per_file) > 1:
+    if len(score_paths) > 1:
         breakdown = []
-        for spath, start, stop, file_pos in per_file:
+        for spath, start, stop, pos in zip(
+            score_paths, bounds[:-1], bounds[1:], file_pos
+        ):
             entry = {"scores_file": str(spath)}
-            if 0 < file_pos < stop - start:
+            if 0 < pos < stop - start:
                 entry["ap"], entry["fpr95"] = metrics.ap_and_fpr95(
                     scores[start:stop], labels[start:stop]
                 )
@@ -558,6 +580,7 @@ def run_command(command: str, resolved: dict, out_dir) -> list[str]:
     """Run one subcommand with a fully resolved config; returns output names."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _check_values(resolved)
     handler, _ = _COMMANDS[command]
     outputs = handler(resolved, out_dir)
     _write_manifest(out_dir, command, resolved, outputs)

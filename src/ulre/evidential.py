@@ -9,8 +9,6 @@ axis is last and always has length 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numkernel import digamma, lgamma
@@ -18,7 +16,6 @@ from .numkernel import digamma, lgamma
 __all__ = [
     "LOGIT_CLAMP",
     "PROB_EPS",
-    "LossBreakdown",
     "evidence_from_logits",
     "dirichlet_from_evidence",
     "strength",
@@ -31,7 +28,7 @@ __all__ = [
     "edl_log_loss",
     "edl_kl_reg",
     "dirichlet_kl_to_uniform",
-    "edl_total_loss",
+    "edl_loss_and_grad",
     "edl_loss_grad",
     "sigmoid",
     "bce_loss_from_logit",
@@ -41,20 +38,6 @@ __all__ = [
 
 LOGIT_CLAMP = 30.0  # exp(30) ~ 1.07e13: evidence stays finite, range untouched
 PROB_EPS = 1e-12  # probability clamp for the sigmoid/odds path
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Total loss split into its fit and regularization terms.
-
-    total = log_loss + lambda_t * kl_reg, elementwise over whatever leading
-    shape the inputs carried.
-    """
-
-    log_loss: np.ndarray
-    kl_reg: np.ndarray
-    lambda_t: float
-    total: np.ndarray
 
 
 def evidence_from_logits(o) -> np.ndarray:
@@ -134,19 +117,6 @@ def dirichlet_kl_to_uniform(alpha_tilde) -> np.ndarray:
     return head - np.asarray(lgamma(alpha_tilde)).sum(axis=-1) + term.sum(axis=-1)
 
 
-def _wrong_class_concentration(alpha, y, name: str) -> np.ndarray:
-    """b = ((1 - y) * alpha).sum(-1), keeping the class axis as length 1.
-
-    With one-hot y the regulariser's alpha_tilde = y + (1 - y) * alpha is
-    (1, b) up to class order, which makes its KL and gradient elementary.
-    """
-    if y.shape[-1:] != (2,) or not (
-        ((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=-1) == 1.0).all()
-    ):
-        raise ValueError(f"{name}: labels must be one-hot rows of length 2")
-    return ((1.0 - y) * alpha).sum(axis=-1, keepdims=True)
-
-
 def edl_kl_reg(alpha, y) -> np.ndarray:
     """Evidence regularizer: KL to uniform after removing correct evidence.
 
@@ -158,18 +128,37 @@ def edl_kl_reg(alpha, y) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    b = _wrong_class_concentration(alpha, y, "edl_kl_reg")[..., 0]
+    if y.shape[-1:] != (2,) or not (
+        ((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=-1) == 1.0).all()
+    ):
+        raise ValueError("edl_kl_reg: labels must be one-hot rows of length 2")
+    b = ((1.0 - y) * alpha).sum(axis=-1)
     if not (np.isfinite(b) & (b > 0.0)).all():
         raise ValueError("edl_kl_reg: concentrations must be finite and positive")
     return np.maximum(np.log(b) - 1.0 + 1.0 / b, 0.0)
 
 
-def edl_total_loss(alpha, y, epoch: int) -> LossBreakdown:
-    """Annealed total loss: log_loss + min(1, epoch/10) * kl_reg."""
+def edl_loss_and_grad(o, y, epoch: int):
+    """Annealed total loss log_loss + min(1, epoch/10) * kl_reg per row, and
+    its gradient d(total)/d(logits), from one pass over (..., 2) logit rows.
+
+    Chain rule through e = exp(clamp(o)) and alpha = e + 1; the gradient is
+    zero outside the clamp range. For one-hot y the KL term's derivative is
+    dKL/db = (b - 1)/b^2 on the incorrect class b and 0 on the correct one;
+    `edl_kl_reg` rejects other labels with ValueError.
+    """
+    o = np.asarray(o, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     lam = lambda_schedule(epoch)
-    log_loss = edl_log_loss(alpha, y)
-    kl = edl_kl_reg(alpha, y)
-    return LossBreakdown(log_loss, kl, lam, log_loss + lam * kl)
+    e = evidence_from_logits(o)
+    alpha = e + 1.0
+    total = edl_log_loss(alpha, y) + lam * edl_kl_reg(alpha, y)
+    s = alpha.sum(axis=-1, keepdims=True)
+    dlog = 1.0 / s - y / alpha
+    b = ((1.0 - y) * alpha).sum(axis=-1, keepdims=True)
+    dkl = (1.0 - y) * ((b - 1.0) / (b * b))
+    passthrough = (np.abs(o) <= LOGIT_CLAMP).astype(np.float64)
+    return total, e * (dlog + lam * dkl) * passthrough
 
 
 def edl_loss_grad(o, y, epoch: int) -> np.ndarray:
@@ -181,17 +170,7 @@ def edl_loss_grad(o, y, epoch: int) -> np.ndarray:
     other labels raise ValueError. Matches central finite differences away
     from the clamp.
     """
-    o = np.asarray(o, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    lam = lambda_schedule(epoch)
-    e = evidence_from_logits(o)
-    alpha = e + 1.0
-    s = alpha.sum(axis=-1, keepdims=True)
-    dlog = 1.0 / s - y / alpha
-    b = _wrong_class_concentration(alpha, y, "edl_loss_grad")
-    dkl = (1.0 - y) * ((b - 1.0) / (b * b))
-    passthrough = (np.abs(o) <= LOGIT_CLAMP).astype(np.float64)
-    return e * (dlog + lam * dkl) * passthrough
+    return edl_loss_and_grad(o, y, epoch)[1]
 
 
 def sigmoid(z) -> np.ndarray:

@@ -81,13 +81,8 @@ class _EvidentialHead:
     def loss_and_grad(self, logits, y_onehot, epoch: int):
         if np.isnan(logits).any():  # evidence_from_logits rejects NaN as bad data
             raise TrainingDivergedError(f"NaN logits at epoch {epoch}")
-        parts = ev.edl_total_loss(self.output(logits), y_onehot, epoch)
-        loss = float(np.mean(parts.total))
-        terms = {
-            "log_loss": float(np.mean(parts.log_loss)),
-            "kl_reg": float(np.mean(parts.kl_reg)),
-        }
-        return loss, terms, ev.edl_loss_grad(logits, y_onehot, epoch)
+        total, grad = ev.edl_loss_and_grad(logits, y_onehot, epoch)
+        return float(np.mean(total)), grad
 
 
 class _SigmoidHead:
@@ -111,15 +106,15 @@ class _SigmoidHead:
         z1 = logits[:, 0]
         y1 = y_onehot[:, 1]
         loss = float(np.mean(ev.bce_loss_from_logit(z1, y1)))
-        return loss, {"bce": loss}, ev.bce_grad_from_logit(z1, y1)[:, None]
+        return loss, ev.bce_grad_from_logit(z1, y1)[:, None]
 
 
 # All that depends on the head kind, keyed by an Estimator's `head`. `tag`
 # names the kind in extrapolate's config keys and file names; `output` is
 # predict_map's per-row result, `score` its likelihood ratio, `prob` P(OOD)
-# per row; `loss_and_grad` gives the mean loss, its terms and the logit
-# gradient. Heads look `ev` functions up when they run, so that a tracer
-# which replaces them sees every call.
+# per row; `loss_and_grad` gives the mean loss and the logit gradient. Heads
+# look `ev` functions up when they run, so that a tracer which replaces them
+# sees every call.
 HEADS = {"evidential": _EvidentialHead(), "sigmoid": _SigmoidHead()}
 
 
@@ -296,7 +291,7 @@ class _Step:
             z += b
             if i < last:
                 h = _leaky(z, slope, out=self.h[i][:n])
-        loss, terms, delta = HEADS[model.head].loss_and_grad(z, y_onehot, epoch)
+        loss, delta = HEADS[model.head].loss_and_grad(z, y_onehot, epoch)
         delta /= n
         for i in range(last, -1, -1):
             h = self.h[i - 1][:n] if i > 0 else xb
@@ -307,7 +302,7 @@ class _Step:
                 mask = _leaky_grad(z, slope, out=z)
                 delta = np.matmul(delta, model.weights[i].T, out=h)
                 delta *= mask
-        return loss, terms, self.grads_w, self.grads_b
+        return loss, self.grads_w, self.grads_b
 
 
 def _fit_loss(model: Estimator, x, y_onehot) -> float:
@@ -404,12 +399,11 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, terms, _, _ = step(x_train[batch], y_train[batch], epoch)
+            loss, _, _ = step(x_train[batch], y_train[batch], epoch)
             if not np.isfinite(loss):
-                detail = ", ".join(f"{k}={val:.6g}" for k, val in terms.items())
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, "
-                    f"batch {start // cfg.batch_size} ({detail})"
+                    f"batch {start // cfg.batch_size} (loss={loss:.6g})"
                 )
             opt.step(params, step.grad)
             epoch_loss += loss * len(batch)

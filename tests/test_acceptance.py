@@ -47,7 +47,7 @@ def test_a1_gradient_correctness():
     step = 1e-3
     worst = 0.0
     for epoch in (0, 20):
-        _, _, gw, gb = mdl._Step(model, len(x))(x, y, epoch)
+        _, gw, gb = mdl._Step(model, len(x))(x, y, epoch)
         for params, grads in ((model.weights, gw), (model.biases, gb)):
             for p, g in zip(params, grads):
                 flat_p, flat_g = p.ravel(), g.ravel()

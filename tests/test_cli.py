@@ -255,6 +255,60 @@ class TestExitCodes:
         assert err.startswith(f"config error: config key {key!r}: ")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("train", "epochs", "0"),
+            ("train", "batch_size", "0"),
+            ("train", "patience", "0"),
+            ("train", "patience", "-2"),
+            ("train", "hidden_dims", "-1"),
+            ("train", "hidden_dims", "8,0"),
+            ("train", "val_fraction", "1.5"),
+            ("train", "val_fraction", "0"),
+            ("toy-gaussian", "epochs", "0"),
+            ("toy-gaussian", "batch_size", "0"),
+            ("toy-gaussian", "patience", "-1"),
+            ("toy-gaussian", "hidden", "0"),
+            ("toy-gaussian", "val_fraction", "1.5"),
+            ("toy-gaussian", "grid_step", "0"),
+            ("toy-gaussian", "grid_step", "-0.05"),
+            ("toy-gaussian", "grid_hi", "-6"),
+        ],
+    )
+    def test_out_of_range_value_is_2_and_names_the_key(
+        self, tmp_path, capsys, command, key, value
+    ):
+        if command == "train":
+            feat, lab = tmp_path / "f.ulre", tmp_path / "l.ulre"
+            write_tensor_file(feat, {"features": np.zeros((4, 4, 2))})
+            labels = np.zeros((4, 4), dtype=np.uint8)
+            labels[:2] = 1
+            write_tensor_file(lab, {"labels": labels})
+            base = dict(features=feat, labels=lab, batch_size=4, epochs=1,
+                        early_stopping="true")
+        else:  # small enough to finish fast if the value were let through
+            base = dict(n_per_class=50, epochs=1, batch_size=32, hidden=2,
+                        grid_step=0.5)
+        cfg = write_config(tmp_path / "c.cfg", **{**base, key: value})
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key {key!r}: must be ")
+        assert not any(out.iterdir())
+
+    def test_val_fraction_is_unchecked_without_early_stopping(self, tmp_path):
+        feat, lab = tmp_path / "f.ulre", tmp_path / "l.ulre"
+        write_tensor_file(feat, {"features": np.zeros((4, 4, 2))})
+        labels = np.zeros((4, 4), dtype=np.uint8)
+        labels[:2] = 1
+        write_tensor_file(lab, {"labels": labels})
+        cfg = write_config(
+            tmp_path / "c.cfg", features=feat, labels=lab, batch_size=4, epochs=1,
+            val_fraction=1.5,
+        )
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     def test_success_is_0(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.cfg", n_scenes=1, height=8, width=8, dim=3, n_classes=2,

@@ -207,19 +207,20 @@ class TestTotalLoss:
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(7)
-        alpha = 1.0 + rng.uniform(0, 10, size=(50, 2))
+        o = np.log(rng.uniform(0, 10, size=(50, 2)))
+        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(o))
         y = ev.one_hot(rng.integers(0, 2, 50))
         for epoch in (0, 3, 7, 15):
-            parts = ev.edl_total_loss(alpha, y, epoch)
-            assert parts.lambda_t == ev.lambda_schedule(epoch)
+            total, _ = ev.edl_loss_and_grad(o, y, epoch)
+            lam = ev.lambda_schedule(epoch)
             np.testing.assert_allclose(
-                parts.total, parts.log_loss + parts.lambda_t * parts.kl_reg
+                total, ev.edl_log_loss(alpha, y) + lam * ev.edl_kl_reg(alpha, y)
             )
 
     def test_epoch_zero_is_pure_log_loss(self):
-        alpha = np.array([4.0, 2.0])
-        parts = ev.edl_total_loss(alpha, Y0, 0)
-        assert parts.total == pytest.approx(ev.edl_log_loss(alpha, Y0))
+        o = np.log([3.0, 1.0])  # alpha = (4, 2)
+        total, _ = ev.edl_loss_and_grad(o, Y0, 0)
+        assert total == pytest.approx(ev.edl_log_loss(np.array([4.0, 2.0]), Y0))
 
 
 class TestBce:
@@ -290,12 +291,8 @@ class TestLossGradient:
                 op, om = o.copy(), o.copy()
                 op[k] += step
                 om[k] -= step
-                lp = ev.edl_total_loss(
-                    ev.dirichlet_from_evidence(ev.evidence_from_logits(op)), y, epoch
-                ).total
-                lm = ev.edl_total_loss(
-                    ev.dirichlet_from_evidence(ev.evidence_from_logits(om)), y, epoch
-                ).total
+                lp = ev.edl_loss_and_grad(op, y, epoch)[0]
+                lm = ev.edl_loss_and_grad(om, y, epoch)[0]
                 fd = (lp - lm) / (2 * step)
                 worst = max(worst, abs(grad[k] - fd) / max(abs(fd), 1e-8))
         assert worst <= 1e-6
@@ -303,6 +300,47 @@ class TestLossGradient:
     def test_zero_beyond_clamp(self):
         g = ev.edl_loss_grad(np.array([40.0, 0.0]), Y0, 0)
         assert g[0] == 0.0
+
+
+# The annealed loss and its gradient as two passes, as they were before
+# `edl_loss_and_grad` fused them: the loss from alpha (the KL regulariser in
+# its one-hot closed form), the gradient rebuilt from the logits.
+def reference_total_loss(alpha, y, epoch):
+    lam = ev.lambda_schedule(epoch)
+    log_loss = ev.edl_log_loss(alpha, y)
+    b = ((1.0 - y) * alpha).sum(axis=-1, keepdims=True)[..., 0]
+    kl = np.maximum(np.log(b) - 1.0 + 1.0 / b, 0.0)
+    return log_loss + lam * kl
+
+
+def reference_loss_grad(o, y, epoch):
+    lam = ev.lambda_schedule(epoch)
+    e = ev.evidence_from_logits(o)
+    alpha = e + 1.0
+    s = alpha.sum(axis=-1, keepdims=True)
+    dlog = 1.0 / s - y / alpha
+    b = ((1.0 - y) * alpha).sum(axis=-1, keepdims=True)
+    dkl = (1.0 - y) * ((b - 1.0) / (b * b))
+    passthrough = (np.abs(o) <= ev.LOGIT_CLAMP).astype(np.float64)
+    return e * (dlog + lam * dkl) * passthrough
+
+
+class TestFusedLossAndGrad:
+    def test_matches_two_pass_form_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        labels = rng.integers(0, 2, 600)
+        assert 0 < labels.sum() < len(labels)  # both label classes
+        y = ev.one_hot(labels)
+        # inside and past the clamp, and on its edges
+        o = rng.uniform(-40.0, 40.0, size=(600, 2))
+        o[:8] = [[30.0, -30.0], [-30.0, 30.0], [40.0, -40.0], [-40.0, 40.0]] * 2
+        assert (np.abs(o) > ev.LOGIT_CLAMP).any() and (np.abs(o) < ev.LOGIT_CLAMP).any()
+        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(o))
+        for epoch in (0, 5, 10, 20):
+            total, grad = ev.edl_loss_and_grad(o, y, epoch)
+            assert np.array_equal(total, reference_total_loss(alpha, y, epoch))
+            assert np.array_equal(grad, reference_loss_grad(o, y, epoch))
+            assert np.array_equal(ev.edl_loss_grad(o, y, epoch), grad)
 
 
 def old_edl_loss_grad(o, y, epoch):
@@ -403,10 +441,14 @@ class TestOneHotClosedForms:
             ev.edl_kl_reg(ev.dirichlet_from_evidence(ev.evidence_from_logits(o)), y)
         with pytest.raises(ValueError, match="one-hot"):
             ev.edl_loss_grad(o, y, 5)
+        with pytest.raises(ValueError, match="one-hot"):
+            ev.edl_loss_and_grad(o, y, 5)
 
     def test_nan_logits_still_rejected(self):
         with pytest.raises(ValueError):
             ev.edl_loss_grad(np.array([np.nan, 0.0]), Y0, 5)
+        with pytest.raises(ValueError):
+            ev.edl_loss_and_grad(np.array([np.nan, 0.0]), Y0, 5)
         with pytest.raises(ValueError):
             ev.edl_kl_reg(np.array([1.0, np.nan]), Y0)
 
