@@ -180,33 +180,60 @@ def resolve_config(command: str, raw: dict[str, str], seed_override=None) -> dic
         else:
             resolved[key] = list(default) if isinstance(default, list) else default
     if seed_override is not None:
-        if "seed" in schema:
-            resolved["seed"] = int(seed_override)
-        else:  # pragma: no cover - every schema carries a seed today
-            raise ConfigError(f"{command} takes no seed")
+        resolved["seed"] = int(seed_override)
     return resolved
 
 
 # key -> (test of its value, given the whole config; the rule it states).
 # A key means the same in every command that has it, and is checked there.
 _AT_LEAST_1 = (lambda v, cfg: v >= 1, ">= 1")
-_AT_LEAST_0 = (lambda v, cfg: v >= 0, ">= 0")  # score: 0 keeps the input's size
+_AT_LEAST_0 = (lambda v, cfg: v >= 0, ">= 0")
+_POSITIVE = (lambda v, cfg: v > 0.0, "> 0")
 _RULES = {
+    "seed": _AT_LEAST_0,
+    "scene_seed": _AT_LEAST_0,
+    "head": (  # score's empty default takes the checkpoint's head
+        lambda v, cfg: v in mdl.HEADS or (v == "" and "checkpoint" in cfg),
+        " or ".join(map(repr, mdl.HEADS)) + " (or empty in score)",
+    ),
     "epochs": _AT_LEAST_1,
+    "learning_rate": _POSITIVE,
     "batch_size": _AT_LEAST_1,
     "patience": _AT_LEAST_1,
     "hidden": _AT_LEAST_1,
+    "n_per_class": _AT_LEAST_1,
     "hidden_dims": (lambda v, cfg: all(d >= 1 for d in v), ">= 1 in every entry"),
     # toy-gaussian has no early_stopping key: it always stops early
     "val_fraction": (
         lambda v, cfg: 0.0 < v < 1.0 or not cfg.get("early_stopping", True),
         "in (0, 1) with early stopping",
     ),
-    "grid_step": (lambda v, cfg: v > 0.0, "> 0"),
+    "grid_step": _POSITIVE,
     "grid_hi": (lambda v, cfg: v > cfg["grid_lo"], "> grid_lo"),
     "sigma": (lambda v, cfg: 0.0 < v < np.inf, "positive and finite"),
-    "out_height": _AT_LEAST_0,
+    "out_height": _AT_LEAST_0,  # 0 keeps the input's size
     "out_width": _AT_LEAST_0,
+    "checkpoint_edl": (
+        lambda v, cfg: bool(v or cfg["checkpoint_bce"]),
+        "set when checkpoint_bce is empty",
+    ),
+    "n_scenes": _AT_LEAST_1,
+    "height": _AT_LEAST_1,
+    "width": _AT_LEAST_1,
+    "dim": (lambda v, cfg: v >= 2, ">= 2"),
+    "n_classes": (lambda v, cfg: 1 <= v <= 255, "in [1, 255]"),  # u8 class ids
+    "noise_sigma": _AT_LEAST_0,
+    "n_ood_directions": _AT_LEAST_0,
+    "ood_index": (  # checked when every scene pastes the one reserved direction
+        lambda v, cfg: 0 <= v < cfg["n_ood_directions"]
+        or not cfg["paste_ood"] or cfg["ood_per_scene"],
+        "in [0, n_ood_directions) when pasting one reserved direction",
+    ),
+    "ood_sigma": _AT_LEAST_0,
+    "ood_min_size": _AT_LEAST_1,
+    "ood_max_size": (lambda v, cfg: v >= cfg["ood_min_size"], ">= ood_min_size"),
+    "scale_lo": _POSITIVE,
+    "scale_hi": (lambda v, cfg: v >= cfg["scale_lo"], ">= scale_lo"),
 }
 
 
@@ -237,6 +264,10 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+
+
 def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs) -> None:
     manifest = {
         "command": command,
@@ -245,13 +276,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs) -> Non
         "config_sha256": _config_hash(resolved),
         "outputs": {name: _sha256(out_dir / name) for name in outputs},
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 _RANK_SHAPES = {2: "H x W", 3: "H x W x D"}
@@ -271,43 +296,45 @@ def _records(path, **ranks) -> list[np.ndarray]:
     return found
 
 
+def _positives(path, shape) -> np.ndarray:
+    """The boolean map of a labels record's 1s; the record must have the
+    given shape and hold only 0 and 1."""
+    [lab] = _records(path, labels=None)
+    if lab.shape != shape:
+        raise DataError(f"{path}: labels shape {lab.shape} does not match {shape}")
+    positive = lab == 1
+    if np.count_nonzero(lab == 0) + np.count_nonzero(positive) != lab.size:
+        bad = np.setdiff1d(lab, (0, 1)).tolist()
+        raise DataError(f"{path}: labels contain non-binary values {bad}")
+    return positive
+
+
 def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
     seed = resolved["seed"]
     features, labels = gen_gaussian_1d(
         resolved["n_per_class"], resolved["mu0"], resolved["mu1"], seed
     )
-    common = dict(
-        epochs=resolved["epochs"],
-        learning_rate=resolved["learning_rate"],
-        batch_size=resolved["batch_size"],
-        early_stopping=True,
-        patience=resolved["patience"],
-        val_fraction=resolved["val_fraction"],
-    )
-    hidden = resolved["hidden"]
-    edl, bce = mdl.HEADS["evidential"], mdl.HEADS["sigmoid"]
-    m_edl, rep_edl = mdl.train(
-        mdl.init_model([1, hidden, edl.width], seed + 3, "evidential"),
-        features,
-        labels,
-        mdl.TrainConfig(seed=seed + 1, **common),
-    )
-    m_bce, rep_bce = mdl.train(
-        mdl.init_model([1, hidden, bce.width], seed + 4, "sigmoid"),
-        features,
-        labels,
-        mdl.TrainConfig(seed=seed + 2, **common),
-    )
-
     lo, hi, step = resolved["grid_lo"], resolved["grid_hi"], resolved["grid_step"]
     n_grid = int(round((hi - lo) / step)) + 1
     x = np.linspace(lo, hi, n_grid)
-    logits = mdl.forward(m_edl, x.reshape(-1, 1))
-    alpha = edl.output(logits)
-    p_edl = edl.prob(logits)
+    fit = {f.name: resolved[f.name] for f in _TRAIN_FIELDS if f.name in resolved}
+    fit["early_stopping"] = True
+    logits, reports = {}, {}
+    for i, (kind, head) in enumerate(mdl.HEADS.items()):
+        model, reports[head.tag] = mdl.train(
+            mdl.init_model([1, resolved["hidden"], head.width], seed + 3 + i, kind),
+            features,
+            labels,
+            mdl.TrainConfig(**{**fit, "seed": seed + 1 + i}),
+        )
+        logits[kind] = mdl.forward(model, x.reshape(-1, 1))
+
+    edl, bce = mdl.HEADS["evidential"], mdl.HEADS["sigmoid"]
+    alpha = edl.output(logits["evidential"])
+    p_edl = edl.prob(logits["evidential"])
     vac = ev.vacuity(alpha)
     lr_edl = edl.score(alpha)
-    p_bce = bce.prob(mdl.forward(m_bce, x.reshape(-1, 1)))
+    p_bce = bce.prob(logits["sigmoid"])
     lr_true = analytic_gaussian_lr(x, resolved["mu0"], resolved["mu1"])
     entropy = ev.binary_entropy(p_bce)
 
@@ -320,8 +347,8 @@ def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
     (out_dir / "toy_grid.csv").write_text("\n".join(lines) + "\n", "utf-8")
 
     i0 = int(np.argmin(np.abs(x)))
-    fit = np.abs(x) <= 2.0
-    slope = float(np.polyfit(x[fit], np.log(lr_edl[fit]), 1)[0])
+    center = np.abs(x) <= 2.0
+    slope = float(np.polyfit(x[center], np.log(lr_edl[center]), 1)[0])
     summary = {
         "p_edl_at_0": float(p_edl[i0]),
         "p_edl_at_hi": float(p_edl[-1]),
@@ -332,11 +359,10 @@ def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
         "vacuity_tail_center_ratio": float(min(vac[0], vac[-1]) / vac[i0]),
         "lnlr_slope_center": slope,
         "lr_true_at_0": float(lr_true[i0]),
-        "edl_epochs_run": rep_edl.epochs_run,
-        "bce_epochs_run": rep_bce.epochs_run,
-        "edl_best_epoch": rep_edl.best_epoch,
-        "bce_best_epoch": rep_bce.best_epoch,
     }
+    for tag, report in reports.items():
+        summary[f"{tag}_epochs_run"] = report.epochs_run
+        summary[f"{tag}_best_epoch"] = report.best_epoch
     _write_json(out_dir / "toy_summary.json", summary)
     return ["toy_grid.csv", "toy_summary.json"]
 
@@ -348,29 +374,19 @@ def _load_pixel_rows(feature_paths, label_paths):
     dim = None
     for fpath, lpath in zip(feature_paths, label_paths):
         [fm] = _records(fpath, features=3)
-        [lab] = _records(lpath, labels=None)
-        if lab.shape != fm.shape[:2]:
-            raise DataError(
-                f"{lpath}: labels shape {lab.shape} does not match "
-                f"features {fm.shape[:2]}"
-            )
+        positive = _positives(lpath, fm.shape[:2])
         if dim is None:
             dim = fm.shape[2]
         elif fm.shape[2] != dim:
             raise DataError(f"{fpath}: feature dim {fm.shape[2]} != {dim}")
-        if not np.isin(lab, (0, 1)).all():
-            bad = sorted(set(np.unique(lab)) - {0, 1})
-            raise DataError(f"{lpath}: labels contain non-binary values {bad}")
         xs.append(fm.reshape(-1, dim))
-        ys.append(lab.reshape(-1))
+        ys.append(positive.reshape(-1))
     return np.concatenate(xs), np.concatenate(ys), dim
 
 
 def cmd_train(resolved: dict, out_dir: Path) -> list[str]:
     x, y, dim = _load_pixel_rows(resolved["features"], resolved["labels"])
     head = resolved["head"]
-    if head not in mdl.HEADS:
-        raise ConfigError(f"unknown head: {head!r}")
     dims = [dim, *resolved["hidden_dims"], mdl.HEADS[head].width]
     settings = {f.name: resolved[f.name] for f in _TRAIN_FIELDS}
     settings["seed"] += 1  # resolved["seed"] seeds the initial weights
@@ -406,18 +422,9 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
     parts, positives, file_pos = [], [], []
     for spath, lpath in zip(score_paths, label_paths):
         [s] = _records(spath, scores=2)
-        [lab] = _records(lpath, labels=None)
-        if s.shape != lab.shape:
-            raise DataError(
-                f"eval: scores {s.shape} and labels {lab.shape} shapes differ"
-            )
-        positive = lab.ravel() == 1
-        n_pos = int(np.count_nonzero(positive))
-        if np.count_nonzero(lab == 0) != lab.size - n_pos:
-            raise DataError(f"{lpath}: labels contain non-binary values")
         parts.append(s.ravel())
-        positives.append(positive)
-        file_pos.append(n_pos)
+        positives.append(_positives(lpath, s.shape).ravel())
+        file_pos.append(int(np.count_nonzero(positives[-1])))
     # pool every file into one score and one label array and drop the
     # per-file arrays; each file's entries are then a slice of the pool
     scores = np.concatenate(parts, dtype=np.float64)
@@ -452,8 +459,6 @@ def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
         for kind, head in mdl.HEADS.items()
         if resolved[f"checkpoint_{head.tag}"]
     }
-    if not checkpoints:
-        raise ConfigError("extrapolate: provide checkpoint_edl and/or checkpoint_bce")
     feats, ids = _records(resolved["train_features"], features=3, class_ids=None)
     if ids.shape != feats.shape[:2]:
         raise DataError("extrapolate: malformed training features/class_ids")
@@ -497,19 +502,8 @@ def cmd_gen_synthetic(resolved: dict, out_dir: Path) -> list[str]:
         resolved["dim"], n_dirs, resolved["min_angle"], master
     )
     id_dirs = directions[:n_classes]
-    ood_dir = None
-    if resolved["paste_ood"] and not resolved["ood_per_scene"]:
-        idx = resolved["ood_index"]
-        if not 0 <= idx < resolved["n_ood_directions"]:
-            raise ConfigError(
-                f"ood_index {idx} out of range "
-                f"[0, {resolved['n_ood_directions']})"
-            )
-        ood_dir = directions[n_classes + idx]
     outputs = []
     lo, hi = resolved["ood_min_size"], resolved["ood_max_size"]
-    if not 1 <= lo <= hi:
-        raise ConfigError("gen-synthetic: need 1 <= ood_min_size <= ood_max_size")
     for i in range(resolved["n_scenes"]):
         scene_seed = resolved["scene_seed"] + i
         feats, ids = gen_synthetic_scene(
@@ -536,7 +530,7 @@ def cmd_gen_synthetic(resolved: dict, out_dir: Path) -> list[str]:
                     avoid=directions,
                 )[0]
             else:
-                scene_dir = ood_dir
+                scene_dir = directions[n_classes + resolved["ood_index"]]
             oh = lo + int(obj_rng.integers(1, hi - lo + 1)[0])
             ow = lo + int(obj_rng.integers(1, hi - lo + 1)[0])
             obj = make_feature_object(

@@ -135,7 +135,10 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
         payload = r.take(n_elem * dtype.itemsize, f"record {name!r} payload")
         if name in records:
             raise TensorFileError(f"{path}: duplicate record name {name!r}")
-        records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        try:
+            records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # more dims, or more bytes, than numpy can hold
+            raise TensorFileError(f"{path}: record {name!r}: {exc}") from exc
     if r.pos != len(blob):
         raise TensorFileError(
             f"{path}: {len(blob) - r.pos} trailing bytes after last record"

@@ -39,6 +39,87 @@ def gen_scenes(tmp_path, sub, n_scenes=2, seed=5, scene_seed=100, **extra):
     return out
 
 
+def small_config(tmp_path, command):
+    """Keys, and input files, small enough that a run would finish fast if a
+    bad value were let through."""
+    scene, ckpt = tmp_path / "scene.ulre", tmp_path / "model.ulre"
+    labels = np.zeros((4, 4), dtype=np.uint8)
+    labels[:2] = 1
+    write_tensor_file(
+        scene,
+        {
+            "features": np.ones((4, 4, 2)),
+            "labels": labels,
+            "class_ids": np.zeros((4, 4), dtype=np.uint8),
+        },
+    )
+    mdl.save_model(ckpt, mdl.init_model([2, 4, 2], seed=0))
+    return {
+        "train": dict(features=scene, labels=scene, batch_size=4, epochs=1,
+                      early_stopping="true"),
+        "toy-gaussian": dict(n_per_class=50, epochs=1, batch_size=32, hidden=2,
+                             grid_step=0.5),
+        "gen-synthetic": dict(n_scenes=1, height=8, width=8, dim=3, n_classes=2,
+                              ood_min_size=3, ood_max_size=4),
+        "score": dict(checkpoint=ckpt, features=scene),
+        "extrapolate": dict(train_features=scene, eval_features=scene,
+                            checkpoint_edl=ckpt),
+    }[command]
+
+
+# one bad value for every key in cli._RULES (the score geometry keys are in
+# BAD_SCORE_GEOMETRY), checked by test_every_rule_has_a_bad_value
+BAD_SCORE_GEOMETRY = [
+    ("sigma", "0"), ("sigma", "-0.5"), ("sigma", "nan"), ("sigma", "inf"),
+    ("out_height", "-1"), ("out_width", "-3"),
+]
+OUT_OF_RANGE = [
+    ("train", "epochs", "0"),
+    ("train", "batch_size", "0"),
+    ("train", "patience", "0"),
+    ("train", "patience", "-2"),
+    ("train", "hidden_dims", "-1"),
+    ("train", "hidden_dims", "8,0"),
+    ("train", "val_fraction", "1.5"),
+    ("train", "val_fraction", "0"),
+    ("toy-gaussian", "epochs", "0"),
+    ("toy-gaussian", "batch_size", "0"),
+    ("toy-gaussian", "patience", "-1"),
+    ("toy-gaussian", "hidden", "0"),
+    ("toy-gaussian", "val_fraction", "1.5"),
+    ("toy-gaussian", "grid_step", "0"),
+    ("toy-gaussian", "grid_step", "-0.05"),
+    ("toy-gaussian", "grid_hi", "-6"),
+    # rules that were checks inside the command handlers
+    ("train", "head", "gaussian"),
+    ("score", "head", "gaussian"),
+    ("extrapolate", "checkpoint_edl", ""),
+    ("gen-synthetic", "ood_index", "2"),
+    ("gen-synthetic", "ood_index", "-1"),
+    ("gen-synthetic", "ood_min_size", "0"),
+    ("gen-synthetic", "ood_max_size", "2"),
+    # values that used to exit 3, or 0
+    ("gen-synthetic", "height", "0"),
+    ("gen-synthetic", "width", "0"),
+    ("gen-synthetic", "n_scenes", "0"),
+    ("gen-synthetic", "n_scenes", "-1"),
+    ("gen-synthetic", "dim", "1"),
+    ("gen-synthetic", "n_classes", "0"),
+    ("gen-synthetic", "n_classes", "256"),
+    ("gen-synthetic", "n_ood_directions", "-1"),
+    ("gen-synthetic", "noise_sigma", "-1"),
+    ("gen-synthetic", "ood_sigma", "-1"),
+    ("gen-synthetic", "scale_lo", "0"),
+    ("gen-synthetic", "scale_hi", "0.4"),
+    ("gen-synthetic", "seed", "-1"),
+    ("gen-synthetic", "scene_seed", "-1"),
+    ("toy-gaussian", "n_per_class", "0"),
+    ("toy-gaussian", "learning_rate", "0"),
+    ("toy-gaussian", "learning_rate", "-1"),
+    ("train", "learning_rate", "-1"),
+]
+
+
 class TestConfigParsing:
     def test_key_value_with_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -221,6 +302,28 @@ class TestExitCodes:
         )
         assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
 
+    @pytest.mark.parametrize("fault", ["shape", "values"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_labels_are_3_and_name_the_file(self, tmp_path, capsys, command, fault):
+        # train and eval check their labels with one helper and one message
+        labels = np.zeros((4, 5) if fault == "shape" else (4, 4), dtype=np.uint8)
+        labels[0, :3] = [1, 2, 7] if fault == "values" else 1
+        bad = tmp_path / "bad.ulre"
+        write_tensor_file(bad, {"labels": labels})
+        write_tensor_file(tmp_path / "s.ulre", {"scores": np.ones((4, 4))})
+        base = small_config(tmp_path, "train")
+        inputs = {
+            "train": {**base, "labels": bad},
+            "eval": {"scores": tmp_path / "s.ulre", "labels": bad},
+        }[command]
+        cfg = write_config(tmp_path / "c.cfg", **inputs)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        message = (
+            "labels shape (4, 5) does not match (4, 4)" if fault == "shape"
+            else "labels contain non-binary values [2, 7]"
+        )
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+
     @pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8"])
     def test_unreadable_config_is_2_and_names_it(self, tmp_path, capsys, fault):
         path = tmp_path / "c.cfg"
@@ -234,11 +337,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {path}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "key,value",
-        [("sigma", "0"), ("sigma", "-0.5"), ("sigma", "nan"), ("sigma", "inf"),
-         ("out_height", "-1"), ("out_width", "-3")],
-    )
+    @pytest.mark.parametrize("key,value", BAD_SCORE_GEOMETRY)
     def test_bad_score_geometry_is_2_and_names_the_key(
         self, tmp_path, capsys, key, value
     ):
@@ -255,47 +354,35 @@ class TestExitCodes:
         assert err.startswith(f"config error: config key {key!r}: ")
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize(
-        "command,key,value",
-        [
-            ("train", "epochs", "0"),
-            ("train", "batch_size", "0"),
-            ("train", "patience", "0"),
-            ("train", "patience", "-2"),
-            ("train", "hidden_dims", "-1"),
-            ("train", "hidden_dims", "8,0"),
-            ("train", "val_fraction", "1.5"),
-            ("train", "val_fraction", "0"),
-            ("toy-gaussian", "epochs", "0"),
-            ("toy-gaussian", "batch_size", "0"),
-            ("toy-gaussian", "patience", "-1"),
-            ("toy-gaussian", "hidden", "0"),
-            ("toy-gaussian", "val_fraction", "1.5"),
-            ("toy-gaussian", "grid_step", "0"),
-            ("toy-gaussian", "grid_step", "-0.05"),
-            ("toy-gaussian", "grid_hi", "-6"),
-        ],
-    )
+    @pytest.mark.parametrize("command,key,value", OUT_OF_RANGE)
     def test_out_of_range_value_is_2_and_names_the_key(
         self, tmp_path, capsys, command, key, value
     ):
-        if command == "train":
-            feat, lab = tmp_path / "f.ulre", tmp_path / "l.ulre"
-            write_tensor_file(feat, {"features": np.zeros((4, 4, 2))})
-            labels = np.zeros((4, 4), dtype=np.uint8)
-            labels[:2] = 1
-            write_tensor_file(lab, {"labels": labels})
-            base = dict(features=feat, labels=lab, batch_size=4, epochs=1,
-                        early_stopping="true")
-        else:  # small enough to finish fast if the value were let through
-            base = dict(n_per_class=50, epochs=1, batch_size=32, hidden=2,
-                        grid_step=0.5)
+        base = small_config(tmp_path, command)
         cfg = write_config(tmp_path / "c.cfg", **{**base, key: value})
         out = tmp_path / "out"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config key {key!r}: must be ")
         assert not any(out.iterdir())
+
+    def test_every_rule_has_a_bad_value(self):
+        # _check_values skips keys a config lacks, so a misspelt rule never fires
+        keys = {key for schema in cli.SCHEMAS.values() for key in schema}
+        assert set(cli._RULES) <= keys
+        tested = {key for _, key, _ in OUT_OF_RANGE}
+        assert set(cli._RULES) <= tested | {key for key, _ in BAD_SCORE_GEOMETRY}
+
+    @pytest.mark.parametrize(
+        "extra", [dict(paste_ood="false"), dict(ood_per_scene="true")]
+    )
+    def test_ood_index_is_unchecked_without_a_reserved_direction(
+        self, tmp_path, extra
+    ):
+        base = small_config(tmp_path, "gen-synthetic")
+        cfg = write_config(tmp_path / "c.cfg", **base, ood_index=5, **extra)
+        out = tmp_path / "o"
+        assert cli.main(["gen-synthetic", "--config", cfg, "--out", str(out)]) == 0
 
     def test_val_fraction_is_unchecked_without_early_stopping(self, tmp_path):
         feat, lab = tmp_path / "f.ulre", tmp_path / "l.ulre"

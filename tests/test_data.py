@@ -126,6 +126,24 @@ class TestTensorFile:
         with pytest.raises(TensorFileError, match="dtype"):
             read_tensor_file(path)
 
+    @pytest.mark.parametrize(
+        "dims,payload",
+        [((1,) * 65, 8), ((0, 2**62, 2**62), 0)],
+        ids=["rank_65", "zero_size_too_big"],
+    )
+    def test_dims_numpy_cannot_hold(self, tmp_path, dims, payload):
+        # payloads of the declared size, so only the dims are at fault
+        path = tmp_path / "dims.ulre"
+        path.write_bytes(
+            b"ULRE"
+            + struct.pack("<HHH", 1, 1, 1)
+            + b"x"
+            + struct.pack(f"<BB{len(dims)}Q", 0, len(dims), *dims)
+            + b"\x00" * payload
+        )
+        with pytest.raises(TensorFileError, match=f"^{path}: record 'x': "):
+            read_tensor_file(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "trail.ulre"
         write_tensor_file(path, {"a": np.zeros(2)})
