@@ -56,6 +56,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_paths(text: str) -> list[str]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -69,7 +76,7 @@ def _parse_ints(text: str) -> list[int]:
 
 # key -> (converter, default); required keys carry the REQUIRED sentinel
 REQUIRED = object()
-_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str}
 # a train config sets every TrainConfig field, parsed by its default's type
 _TRAIN_FIELDS = dataclasses.fields(mdl.TrainConfig)
 
@@ -77,17 +84,17 @@ SCHEMAS: dict[str, dict] = {
     "toy-gaussian": {
         "seed": (int, 0),
         "n_per_class": (int, 100_000),
-        "mu0": (float, -0.4),
-        "mu1": (float, 0.4),
+        "mu0": (_parse_float, -0.4),
+        "mu1": (_parse_float, 0.4),
         "epochs": (int, 100),
-        "learning_rate": (float, 1e-3),
+        "learning_rate": (_parse_float, 1e-3),
         "batch_size": (int, 1024),
         "hidden": (int, 16),
         "patience": (int, 5),
-        "val_fraction": (float, 0.1),
-        "grid_lo": (float, -6.0),
-        "grid_hi": (float, 6.0),
-        "grid_step": (float, 0.05),
+        "val_fraction": (_parse_float, 0.1),
+        "grid_lo": (_parse_float, -6.0),
+        "grid_hi": (_parse_float, 6.0),
+        "grid_step": (_parse_float, 0.05),
     },
     "train": {
         "features": (_parse_paths, REQUIRED),
@@ -102,7 +109,7 @@ SCHEMAS: dict[str, dict] = {
         "head": (str, ""),
         "out_height": (int, 0),
         "out_width": (int, 0),
-        "sigma": (float, 1.0),
+        "sigma": (_parse_float, 1.0),
         "seed": (int, 0),
     },
     "eval": {
@@ -115,7 +122,7 @@ SCHEMAS: dict[str, dict] = {
         "eval_features": (str, REQUIRED),
         "checkpoint_edl": (str, ""),
         "checkpoint_bce": (str, ""),
-        "bin_width": (float, 0.05),
+        "bin_width": (_parse_float, 0.05),
         "seed": (int, 0),
     },
     "gen-synthetic": {
@@ -126,18 +133,18 @@ SCHEMAS: dict[str, dict] = {
         "width": (int, 64),
         "dim": (int, 16),
         "n_classes": (int, 4),
-        "noise_sigma": (float, 0.1),
-        "mean_scale": (float, 1.0),
-        "min_angle": (float, 0.5),
+        "noise_sigma": (_parse_float, 0.1),
+        "mean_scale": (_parse_float, 1.0),
+        "min_angle": (_parse_float, 0.5),
         "n_ood_directions": (int, 2),
         "ood_index": (int, 0),
         "ood_per_scene": (_parse_bool, False),
         "paste_ood": (_parse_bool, True),
-        "ood_sigma": (float, 0.8),
+        "ood_sigma": (_parse_float, 0.8),
         "ood_min_size": (int, 8),
         "ood_max_size": (int, 16),
-        "scale_lo": (float, 0.5),
-        "scale_hi": (float, 2.0),
+        "scale_lo": (_parse_float, 0.5),
+        "scale_hi": (_parse_float, 2.0),
     },
 }
 
@@ -189,6 +196,7 @@ def resolve_config(command: str, raw: dict[str, str], seed_override=None) -> dic
 _AT_LEAST_1 = (lambda v, cfg: v >= 1, ">= 1")
 _AT_LEAST_0 = (lambda v, cfg: v >= 0, ">= 0")
 _POSITIVE = (lambda v, cfg: v > 0.0, "> 0")
+_MOST_STEPS = 10**6  # the most grid points or distance bins a config may ask for
 _RULES = {
     "seed": _AT_LEAST_0,
     "scene_seed": _AT_LEAST_0,
@@ -208,11 +216,18 @@ _RULES = {
         lambda v, cfg: 0.0 < v < 1.0 or not cfg.get("early_stopping", True),
         "in (0, 1) with early stopping",
     ),
-    "grid_step": _POSITIVE,
+    "grid_step": (
+        lambda v, cfg: v > 0.0 and (cfg["grid_hi"] - cfg["grid_lo"]) / v <= _MOST_STEPS,
+        f"> 0 and >= (grid_hi - grid_lo) / {_MOST_STEPS:,}",
+    ),
     "grid_hi": (lambda v, cfg: v > cfg["grid_lo"], "> grid_lo"),
-    "sigma": (lambda v, cfg: 0.0 < v < np.inf, "positive and finite"),
+    "sigma": _POSITIVE,
     "out_height": _AT_LEAST_0,  # 0 keeps the input's size
     "out_width": _AT_LEAST_0,
+    "bin_width": (  # cosine distances lie in [0, 2]
+        lambda v, cfg: v >= 2.0 / _MOST_STEPS,
+        f">= 2 / {_MOST_STEPS:,}",
+    ),
     "checkpoint_edl": (
         lambda v, cfg: bool(v or cfg["checkpoint_bce"]),
         "set when checkpoint_bce is empty",
@@ -572,9 +587,9 @@ _COMMANDS = {
 
 def run_command(command: str, resolved: dict, out_dir) -> list[str]:
     """Run one subcommand with a fully resolved config; returns output names."""
+    _check_values(resolved)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _check_values(resolved)
     handler, _ = _COMMANDS[command]
     outputs = handler(resolved, out_dir)
     _write_manifest(out_dir, command, resolved, outputs)

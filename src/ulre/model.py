@@ -10,6 +10,7 @@ given the config seed, with optional early stopping on held-out rows.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,16 +204,40 @@ def _cuts(n: int, most: int) -> list[int]:
     return [min(n, i * units // pieces * _FORWARD_ALIGN) for i in range(pieces + 1)]
 
 
-def _hidden_rows(model: Estimator, x, blocks, last, scratch) -> np.ndarray:
-    """The last hidden layer's activations of the rows of x, written into
-    the leading rows of `last`.
+def _workers() -> int:
+    """How many threads `forward` runs a part's hidden-layer blocks on: the
+    cores that OpenBLAS's own threads leave idle, at least 1.
 
-    The rows go through every hidden layer in blocks of at most _BLOCK_ROWS
-    rows. `blocks` holds one block of each hidden layer but the last, and
-    `scratch` one block's slope * z.
+    OpenBLAS takes its thread count from the first positive integer in
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, and uses
+    every core when none is set. Threads of both kinds on the same cores
+    only slow each other down.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:  # unset or not a number
+            continue
+        if threads > 0:
+            blas = threads
+            break
+    return max(1, cores // blas)
+
+
+def _hidden_rows(model: Estimator, x, bounds, blocks, scratch, last) -> None:
+    """Write the last hidden layer's activations of rows bounds[0] to
+    bounds[-1] of x into the same rows of `last`.
+
+    The rows go through every hidden layer one block at a time, from each
+    bound to the next. `blocks` holds one block of each hidden layer but the
+    last, and `scratch` one block's slope * z.
     """
     layers = list(zip(model.weights[:-1], model.biases[:-1]))
-    bounds = _cuts(x.shape[0], _BLOCK_ROWS)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         h = x[lo:hi]
         for (w, b), buf in zip(layers, [*blocks, last[lo:]]):
@@ -220,7 +245,6 @@ def _hidden_rows(model: Estimator, x, blocks, last, scratch) -> np.ndarray:
             z += b
             t = np.multiply(z, model.slope, out=scratch[: z.size].reshape(z.shape))
             h = np.maximum(z, t, out=z)
-    return last[: x.shape[0]]
 
 
 def forward(model: Estimator, features) -> np.ndarray:
@@ -229,7 +253,11 @@ def forward(model: Estimator, features) -> np.ndarray:
     More than _FORWARD_ROWS rows are split into near-equal parts of at most
     _FORWARD_ROWS rows each. Within a part the hidden layers run block by
     block, and the last layer runs over the whole part's last hidden
-    activation. The buffers are allocated once per call.
+    activation. The blocks of a part are shared out in near-equal runs of
+    consecutive blocks, one run per worker (`_workers`): the calling thread
+    runs the first, a thread pool the others, each with its own buffers.
+    A block's bits do not depend on the thread that computes it. The
+    buffers are allocated once per call.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
@@ -241,15 +269,42 @@ def forward(model: Estimator, features) -> np.ndarray:
     rows = max(np.diff(parts))
     block = min(rows, _BLOCK_ROWS)
     hidden_dims = model.layer_dims[1:-1]
-    blocks = [np.empty((block, d)) for d in hidden_dims[:-1]]
+    workers = min(_workers(), len(_cuts(rows, _BLOCK_ROWS)) - 1) if hidden_dims else 1
+    buffers = [
+        (
+            [np.empty((block, d)) for d in hidden_dims[:-1]],
+            np.empty(block * max(hidden_dims, default=0)),
+        )
+        for _ in range(workers)
+    ]
     last = np.empty((rows, hidden_dims[-1])) if hidden_dims else None
-    scratch = np.empty(block * max(hidden_dims, default=0))
     logits = np.empty((n, model.layer_dims[-1]))
-    for start, stop in zip(parts[:-1], parts[1:]):
-        h = x[start:stop]
-        if hidden_dims:
-            h = _hidden_rows(model, h, blocks, last, scratch)
-        np.matmul(h, model.weights[-1], out=logits[start:stop])
+    pool = None
+    if workers > 1:  # imported here: it adds some 10 ms to importing ulre
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers - 1)
+    try:
+        for start, stop in zip(parts[:-1], parts[1:]):
+            h = x[start:stop]
+            if hidden_dims:
+                bounds = _cuts(stop - start, _BLOCK_ROWS)
+                n_blocks = len(bounds) - 1
+                k = min(workers, n_blocks)
+                ends = [i * n_blocks // k for i in range(k + 1)]
+                runs = [bounds[a : b + 1] for a, b in zip(ends[:-1], ends[1:])]
+                futures = [
+                    pool.submit(_hidden_rows, model, h, run, *bufs, last)
+                    for run, bufs in zip(runs[1:], buffers[1:])
+                ]
+                _hidden_rows(model, h, runs[0], *buffers[0], last)
+                for future in futures:
+                    future.result()
+                h = last[: stop - start]
+            np.matmul(h, model.weights[-1], out=logits[start:stop])
+    finally:
+        if pool is not None:
+            pool.shutdown()
     logits += model.biases[-1]
     return logits
 

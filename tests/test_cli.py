@@ -117,6 +117,17 @@ OUT_OF_RANGE = [
     ("toy-gaussian", "learning_rate", "0"),
     ("toy-gaussian", "learning_rate", "-1"),
     ("train", "learning_rate", "-1"),
+    # non-finite floats, which used to exit 1, 3 or 0, and steps too fine
+    ("toy-gaussian", "grid_lo", "-inf"),
+    ("toy-gaussian", "grid_hi", "inf"),
+    ("toy-gaussian", "grid_step", "1e-300"),
+    ("gen-synthetic", "scale_hi", "inf"),
+    ("gen-synthetic", "noise_sigma", "inf"),
+    ("gen-synthetic", "ood_sigma", "inf"),
+    ("gen-synthetic", "mean_scale", "nan"),
+    ("gen-synthetic", "min_angle", "nan"),
+    ("extrapolate", "bin_width", "0"),
+    ("extrapolate", "bin_width", "1e-300"),
 ]
 
 
@@ -352,7 +363,7 @@ class TestExitCodes:
         assert cli.main(["score", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config key {key!r}: ")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,key,value", OUT_OF_RANGE)
     def test_out_of_range_value_is_2_and_names_the_key(
@@ -364,7 +375,7 @@ class TestExitCodes:
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config key {key!r}: must be ")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_every_rule_has_a_bad_value(self):
         # _check_values skips keys a config lacks, so a misspelt rule never fires

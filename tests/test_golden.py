@@ -2,7 +2,10 @@
 where a head applies, and the sha256 of every file they write.
 
 The runs happen in one child process with OpenBLAS pinned to one thread,
-because some output bits depend on the BLAS thread count (README). They run
+because some output bits depend on the BLAS thread count (README). On a
+host with 2 or more cores, that child's `forward` shares each part's
+hidden-layer blocks between worker threads, so the pins also hold the
+multi-worker path to the bytes of one worker. They run
 from a scratch directory with relative paths, so the manifests, which record
 the config, are the same in every checkout. The scenes have 97 x 175 =
 16,975 rows, so `forward` cuts them into two parts with a ragged last one.

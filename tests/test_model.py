@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -216,6 +218,90 @@ class TestForward:
             (mdl._leaky_grad((zc := z.copy()), slope, out=zc), grad),  # in place
         ):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class TestForwardWorkers:
+    """`forward` shares each part's hidden-layer blocks between threads."""
+
+    @pytest.mark.parametrize(
+        "env,want",
+        [
+            ({}, 1),  # OpenBLAS takes every core
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+            ({"OMP_NUM_THREADS": "2"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "1"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ],
+    )
+    def test_worker_count_is_the_cores_blas_leaves(self, monkeypatch, env, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert mdl._workers() == want
+
+    def test_worker_count_without_affinity_counts_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert mdl._workers() == 2
+
+    def test_more_workers_than_cores_give_the_bits_of_one(self, monkeypatch):
+        threads = set()
+        hidden_rows = mdl._hidden_rows
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            hidden_rows(*args)
+
+        monkeypatch.setattr(mdl, "_hidden_rows", recorded)
+        many = (os.cpu_count() or 1) + 2
+        part = mdl._FORWARD_ROWS
+        interval = sys.getswitchinterval()
+        start = time.perf_counter()
+        sys.setswitchinterval(1e-6)
+        try:
+            for dims, head in (
+                ([16, 256, 64, 2], "evidential"),
+                ([16, 256, 64, 1], "sigmoid"),
+            ):
+                m = mdl.init_model(dims, seed=14, head=head)
+                for rows in (1, 257, 4_097, part + 1, 3 * part + 64):
+                    x = np.random.default_rng(rows).normal(size=(rows, dims[0]))
+                    monkeypatch.setattr(mdl, "_workers", lambda: 1)
+                    want = mdl.forward(m, x)
+                    monkeypatch.setattr(mdl, "_workers", lambda: many)
+                    np.testing.assert_array_equal(mdl.forward(m, x), want)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) > 1  # the pool ran some blocks
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_exception_propagates_and_threads_end(self, monkeypatch, failing):
+        hidden_rows = mdl._hidden_rows
+        caller = threading.get_ident()
+
+        def fail_on_one_thread(*args):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} failed")
+            hidden_rows(*args)
+
+        monkeypatch.setattr(mdl, "_hidden_rows", fail_on_one_thread)
+        monkeypatch.setattr(mdl, "_workers", lambda: 3)
+        m = mdl.init_model([16, 256, 64, 2], seed=15)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            mdl.forward(m, np.zeros((4_096, 16)))
+        assert threading.active_count() == before
 
 
 class TestBackprop:
