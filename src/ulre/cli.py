@@ -27,6 +27,7 @@ from . import model as mdl
 from .data import (
     DataError,
     anomaly_mix,
+    check_finite,
     class_means,
     ellipse_mask,
     gen_gaussian_1d,
@@ -299,7 +300,8 @@ _RANK_SHAPES = {2: "H x W", 3: "H x W x D"}
 
 def _records(path, **ranks) -> list[np.ndarray]:
     """The named records of one tensor file, in the order given; each must
-    exist and have the rank given for it, if any (None: any rank)."""
+    exist, have the rank given for it, if any (None: any rank), and hold
+    only finite values."""
     records = read_tensor_file(path)
     found = []
     for name, ndim in ranks.items():
@@ -307,6 +309,7 @@ def _records(path, **ranks) -> list[np.ndarray]:
             raise DataError(f"{path}: missing {name!r} record")
         if ndim is not None and records[name].ndim != ndim:
             raise DataError(f"{path}: {name!r} must be {_RANK_SHAPES[ndim]}")
+        check_finite(path, name, records[name])
         found.append(records[name])
     return found
 

@@ -19,6 +19,7 @@ __all__ = [
     "ClassMeans",
     "write_tensor_file",
     "read_tensor_file",
+    "check_finite",
     "gen_gaussian_1d",
     "analytic_gaussian_lr",
     "anomaly_mix",
@@ -144,6 +145,16 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
             f"{path}: {len(blob) - r.pos} trailing bytes after last record"
         )
     return records
+
+
+def check_finite(path, name: str, arr: np.ndarray) -> None:
+    """Raise DataError, naming the file and the record, unless every value of
+    a float record is finite. NaN propagates through min() and max() and an
+    infinity shows in one of them, so no temporary of the record's size is
+    made."""
+    if arr.dtype.kind == "f" and arr.size:
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise DataError(f"{path}: {name!r} holds NaN or infinite values")
 
 
 def gen_gaussian_1d(n_per_class: int, mu0: float, mu1: float, seed: int):

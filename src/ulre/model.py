@@ -161,7 +161,7 @@ def _check_architecture(dims: list[int], head: str, slope: float) -> None:
             f"final width {dims[-1]} incompatible with head {head!r} "
             f"(needs {HEADS[head].width})"
         )
-    # the activation kernels compute leaky ReLU as max(z, slope * z)
+    # leaky ReLU is max(z, slope * z) in _hidden_rows; its mask is h > 0
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky-ReLU slope must lie in [0, 1], got {slope!r}")
 
@@ -182,15 +182,10 @@ def init_model(
     return Estimator(dims, weights, biases, slope=slope, head=head)
 
 
-def _leaky(z: np.ndarray, slope: float, out=None) -> np.ndarray:
-    """max(z, slope * z), written into `out` (not z itself) when given."""
-    h = np.multiply(z, slope, out=out)
-    return np.maximum(z, h, out=h)
-
-
-def _leaky_grad(z: np.ndarray, slope: float, out=None) -> np.ndarray:
-    """The float mask (z > 0) * (1 - slope) + slope; `out` may be z."""
-    mask = np.greater(z, 0.0, out=out).astype(np.float64, copy=False)
+def _leaky_grad(h: np.ndarray, slope: float, out=None) -> np.ndarray:
+    """The float mask (h > 0) * (1 - slope) + slope; `out` may be h. For
+    0 < slope <= 1, an activation h is > 0 exactly where its z is."""
+    mask = np.greater(h, 0.0, out=out).astype(np.float64, copy=False)
     mask *= 1.0 - slope
     mask += slope
     return mask
@@ -231,7 +226,8 @@ def _workers() -> int:
 
 def _hidden_rows(model: Estimator, x, bounds, blocks, scratch, last) -> None:
     """Write the last hidden layer's activations of rows bounds[0] to
-    bounds[-1] of x into the same rows of `last`.
+    bounds[-1] of x into the same rows of `last`: the one kernel that runs
+    a hidden layer (matmul, bias add, leaky ReLU as max(z, slope * z)).
 
     The rows go through every hidden layer one block at a time, from each
     bound to the next. `blocks` holds one block of each hidden layer but the
@@ -320,32 +316,34 @@ def _views(flat: np.ndarray, layer_dims: list[int]):
 
 class _Step:
     """Mean loss and parameter gradients of one mini-batch of up to `rows`
-    rows, computed in buffers allocated once.
-
-    Per hidden layer it keeps the pre-activation z and the activation h;
-    the backward pass turns z into the leaky-ReLU gradient mask and writes
-    the layer's delta over h once the weight gradient has read it. Each
-    call overwrites the flat `grad` (see `_views`) and returns its views.
+    rows, computed in buffers allocated once: one activation h per hidden
+    layer, which `_hidden_rows` fills with the batch as one block, the
+    logits, and a scratch of rows x the widest hidden layer. Backward, once
+    a layer's weight gradient has read h, h becomes the leaky-ReLU mask,
+    delta @ W.T goes into the scratch, and their product (the next delta)
+    into h. Each call overwrites the flat `grad` (see `_views`) and returns
+    its views.
     """
 
     def __init__(self, model: Estimator, rows: int):
         self.model = model
-        self.z = [np.empty((rows, d)) for d in model.layer_dims[1:]]
-        self.h = [np.empty((rows, d)) for d in model.layer_dims[1:-1]]
+        hidden = model.layer_dims[1:-1]
+        self.h = [np.empty((rows, d)) for d in hidden]
+        self.logits = np.empty((rows, model.layer_dims[-1]))
+        self.scratch = np.empty(rows * max(hidden, default=0))
         self.grad = np.empty(sum(p.size for p in model.weights + model.biases))
         self.grads_w, self.grads_b = _views(self.grad, model.layer_dims)
 
     def __call__(self, xb, y_onehot, epoch: int):
         model = self.model
-        slope = model.slope
         n = xb.shape[0]
         last = len(model.weights) - 1
         h = xb
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            z = np.matmul(h, w, out=self.z[i][:n])
-            z += b
-            if i < last:
-                h = _leaky(z, slope, out=self.h[i][:n])
+        if last:
+            _hidden_rows(model, xb, [0, n], self.h[:-1], self.scratch, self.h[-1])
+            h = self.h[-1][:n]
+        z = np.matmul(h, model.weights[-1], out=self.logits[:n])
+        z += model.biases[-1]
         loss, delta = HEADS[model.head].loss_and_grad(z, y_onehot, epoch)
         delta /= n
         for i in range(last, -1, -1):
@@ -353,10 +351,10 @@ class _Step:
             np.matmul(h.T, delta, out=self.grads_w[i])
             np.sum(delta, axis=0, out=self.grads_b[i])
             if i > 0:
-                z = self.z[i - 1][:n]
-                mask = _leaky_grad(z, slope, out=z)
-                delta = np.matmul(delta, model.weights[i].T, out=h)
-                delta *= mask
+                mask = _leaky_grad(h, model.slope, out=h)
+                back = self.scratch[: h.size].reshape(h.shape)
+                np.matmul(delta, model.weights[i].T, out=back)
+                delta = np.multiply(back, mask, out=h)
         return loss, self.grads_w, self.grads_b
 
 
@@ -523,7 +521,7 @@ def save_model(path, model: Estimator) -> None:
 
 
 def load_model(path) -> Estimator:
-    from .data import DataError, read_tensor_file
+    from .data import DataError, check_finite, read_tensor_file
 
     records = read_tensor_file(path)
     if "header" not in records:
@@ -564,5 +562,6 @@ def load_model(path) -> Estimator:
                     f"{path}: record {key!r} has shape {arr.shape}, "
                     f"expected {shape}"
                 )
+            check_finite(path, key, arr)
             store.append(np.asarray(arr, dtype=np.float64))
     return Estimator(dims, weights, biases, slope=float(slope), head=head)

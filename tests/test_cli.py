@@ -273,7 +273,7 @@ class TestExitCodes:
         assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "data error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["missing", "rank"])
+    @pytest.mark.parametrize("fault", ["missing", "rank", "nonfinite"])
     @pytest.mark.parametrize("command", ["train", "score", "eval", "extrapolate"])
     def test_bad_input_record_is_3_and_names_the_file(
         self, tmp_path, capsys, command, fault
@@ -293,10 +293,6 @@ class TestExitCodes:
         else:
             name, shape = "features", "H x W x D"
         bad = tmp_path / "bad.ulre"
-        records = {k: v for k, v in scene.items() if k != name}
-        if fault == "rank":
-            records[name] = np.zeros(16)
-        write_tensor_file(bad, records)
         inputs = {
             "train": {"features": bad, "labels": good},
             "score": {"checkpoint": ckpt, "features": bad},
@@ -306,12 +302,40 @@ class TestExitCodes:
             },
         }[command]
         cfg = write_config(tmp_path / "c.cfg", **inputs)
-        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-        message = (
-            f"missing {name!r} record" if fault == "missing"
-            else f"{name!r} must be {shape}"
-        )
-        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+        message = {
+            "missing": f"missing {name!r} record",
+            "rank": f"{name!r} must be {shape}",
+            "nonfinite": f"{name!r} holds NaN or infinite values",
+        }[fault]
+        # a non-finite record is tried once with a NaN and once with +inf
+        for value in (np.nan, np.inf) if fault == "nonfinite" else (None,):
+            records = {k: v for k, v in scene.items() if k != name}
+            if fault == "rank":
+                records[name] = np.zeros(16)
+            elif fault == "nonfinite":
+                records[name] = np.zeros((4, 4, 4) if name == "features" else (4, 4))
+                records[name].flat[5] = value
+            write_tensor_file(bad, records)
+            out = str(tmp_path / "out")
+            assert cli.main([command, "--config", cfg, "--out", out]) == 3
+            assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("key,value", [("w0", np.inf), ("b0", np.inf), ("w1", np.nan)])
+    def test_nonfinite_checkpoint_is_3_and_names_the_record(
+        self, tmp_path, capsys, key, value
+    ):
+        # the logit clamp would hide an infinite parameter in the scores
+        ckpt = tmp_path / "model.ulre"
+        mdl.save_model(ckpt, mdl.init_model([4, 8, 2], seed=0))
+        records = read_tensor_file(ckpt)
+        records[key].flat[3] = value
+        write_tensor_file(ckpt, records)
+        feat = tmp_path / "f.ulre"
+        write_tensor_file(feat, {"features": np.ones((4, 4, 4))})
+        cfg = write_config(tmp_path / "c.cfg", checkpoint=str(ckpt), features=str(feat))
+        assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        message = f"{ckpt}: {key!r} holds NaN or infinite values"
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
     @pytest.mark.parametrize("fault", ["shape", "values"])
     @pytest.mark.parametrize("command", ["train", "eval"])

@@ -11,6 +11,7 @@ from ulre.data import (
     TensorFileError,
     analytic_gaussian_lr,
     anomaly_mix,
+    check_finite,
     class_means,
     ellipse_mask,
     gen_gaussian_1d,
@@ -158,6 +159,26 @@ class TestTensorFile:
     def test_int_values_outside_u8(self, tmp_path):
         with pytest.raises(TensorFileError):
             write_tensor_file(tmp_path / "i.ulre", {"i": np.array([300])})
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_names_the_file_and_record_without_a_temporary(self, value):
+        arr = np.zeros((512, 256))  # 1 MiB
+        arr[7, 9] = value
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"^f\.ulre: 'x' holds NaN or infinite"):
+                check_finite("f.ulre", "x", arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes / 64
+
+    def test_passes_finite_empty_and_integer_records(self):
+        check_finite("f", "x", np.array([1e308, -1e308, 0.0]))
+        check_finite("f", "x", np.empty((0, 3)))
+        check_finite("f", "x", np.full(3, 255, dtype=np.uint8))
 
 
 class TestGaussian1d:

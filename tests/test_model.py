@@ -202,20 +202,29 @@ class TestForward:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_activation_kernels_match_where_forms(self):
+    @pytest.mark.parametrize("slope", [0.01, 1.0])
+    def test_activation_kernels_match_where_forms(self, slope):
         tiny = np.finfo(np.float64).smallest_subnormal
         z = np.array(
             [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
              3 * tiny, -3 * tiny, 1e-310, -1e-310, 1.5, -2.5, 1e308, -1e308]
         )
-        slope = 0.01
-        leaky = np.where(z > 0.0, z, slope * z)
+        # one hidden unit whose pre-activation is z: x @ [[1]] + (-0.0)
+        # keeps every value, though the matmul turns -0.0 into 0.0
+        m = mdl.init_model([1, 1, 2], seed=0, slope=slope)
+        m.weights[0][...] = 1.0
+        m.biases[0][...] = -0.0
+        x = z[:, None]
+        pre = x @ m.weights[0] + m.biases[0]
+        assert np.array_equal(pre, x, equal_nan=True)
+        h = np.empty_like(x)
+        mdl._hidden_rows(m, x, [0, len(z)], [], np.empty(len(z)), h)
+        act = np.maximum(z, slope * z)
         grad = np.where(z > 0.0, 1.0, slope)
         for got, want in (
-            (mdl._leaky(z, slope), leaky),
-            (mdl._leaky(z, slope, out=np.empty_like(z)), leaky),
-            (mdl._leaky_grad(z, slope), grad),
-            (mdl._leaky_grad((zc := z.copy()), slope, out=zc), grad),  # in place
+            (h, np.where(pre > 0.0, pre, slope * pre)),
+            (mdl._leaky_grad(act, slope), grad),
+            (mdl._leaky_grad((a := act.copy()), slope, out=a), grad),  # in place
         ):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -463,17 +472,43 @@ class TestBufferedStep:
         for a, b in zip(got.weights + got.biases, weights + biases):
             assert np.array_equal(a, b)
 
-    def test_batch_loss_grads_matches_reference(self):
-        m = mdl.init_model([3, 32, 16, 2], seed=38)
+    @pytest.mark.parametrize("slope", [0.01, 1.0])
+    @pytest.mark.parametrize(
+        "head,dims",
+        [
+            ("evidential", [3, 2]),
+            ("evidential", [3, 32, 2]),
+            ("evidential", [3, 32, 16, 2]),
+            ("sigmoid", [3, 32, 16, 1]),
+        ],
+    )
+    def test_batch_loss_grads_matches_reference(self, head, dims, slope):
+        # the reference's masks come from pre-activations, the step's from
+        # activations; one step serves batches of 1 and 50 of its 64 rows
+        m = mdl.init_model(dims, seed=38, head=head, slope=slope)
+        step = mdl._Step(m, 64)
         rng = np.random.default_rng(39)
-        x = rng.normal(size=(50, 3))
-        y = ev.one_hot(rng.integers(0, 2, 50))
-        for epoch in (0, 4, 12):
-            loss, gw, gb = mdl._Step(m, len(x))(x, y, epoch)
-            want_loss, want_w, want_b = _reference_batch(m, x, y, epoch)
-            assert loss == want_loss
-            for a, b in zip(gw + gb, want_w + want_b):
-                assert np.array_equal(a, b)
+        for rows in (1, 50):
+            x = rng.normal(size=(rows, 3))
+            y = ev.one_hot(rng.integers(0, 2, rows))
+            for epoch in (0, 4, 12):
+                loss, gw, gb = step(x, y, epoch)
+                want_loss, want_w, want_b = _reference_batch(m, x, y, epoch)
+                assert loss == want_loss
+                for a, b in zip(gw + gb, want_w + want_b):
+                    assert np.array_equal(a, b)
+
+    def test_step_buffers_are_bounded(self):
+        # one activation per hidden layer, the logits and a scratch of the
+        # widest layer: 4.68 MiB; with a pre-activation per layer, 5.18 MiB
+        m = mdl.init_model([16, 256, 64, 2], seed=40)
+        tracemalloc.start()
+        try:
+            step = mdl._Step(m, 1024)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert step.grad.nbytes < held < 5 * 2**20
 
 
 class TestAdam:
@@ -655,4 +690,16 @@ class TestCheckpointIo:
         del records["w1"]
         write_tensor_file(path, records)
         with pytest.raises(DataError, match="w1"):
+            mdl.load_model(path)
+
+    @pytest.mark.parametrize("key,value", [("w0", np.inf), ("b1", -np.inf), ("w1", np.nan)])
+    def test_nonfinite_parameter_rejected(self, tmp_path, key, value):
+        from ulre.data import DataError, read_tensor_file, write_tensor_file
+
+        path = tmp_path / "model.ulre"
+        mdl.save_model(path, mdl.init_model([4, 8, 2], seed=32))
+        records = read_tensor_file(path)
+        records[key].flat[1] = value
+        write_tensor_file(path, records)
+        with pytest.raises(DataError, match=f"'{key}' holds NaN or infinite values"):
             mdl.load_model(path)
