@@ -199,8 +199,13 @@ _AT_LEAST_0 = (lambda v, cfg: v >= 0, ">= 0")
 _POSITIVE = (lambda v, cfg: v > 0.0, "> 0")
 _MOST_STEPS = 10**6  # the most grid points or distance bins a config may ask for
 _RULES = {
-    "seed": _AT_LEAST_0,
-    "scene_seed": _AT_LEAST_0,
+    # toy-gaussian seeds its streams with seed .. seed + 4, and gen-synthetic
+    # its objects with 2 * (scene_seed + i) + 1: all must fit in 64 bits
+    "seed": (lambda v, cfg: 0 <= v < 2**64 - 4, f"in [0, {2**64 - 5}]"),
+    "scene_seed": (
+        lambda v, cfg: 0 <= v <= 2**63 - cfg["n_scenes"],
+        f"in [0, {2**63} - n_scenes]",
+    ),
     "head": (  # score's empty default takes the checkpoint's head
         lambda v, cfg: v in mdl.HEADS or (v == "" and "checkpoint" in cfg),
         " or ".join(map(repr, mdl.HEADS)) + " (or empty in score)",
@@ -269,9 +274,15 @@ def _require_files(resolved: dict, keys: list[str]) -> None:
                 raise ConfigError(f"config key {key!r}: no such file: {p}")
 
 
+_HASH_CHUNK = 2**20  # bytes hashed per read
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    buf = bytearray(_HASH_CHUNK)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(memoryview(buf)[:n])
     return h.hexdigest()
 
 

@@ -6,12 +6,13 @@ mean-feature computation.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import Rng, resize_nearest, upsample_bilinear
+from .numkernel import NORMAL_CHUNK, Rng, resize_nearest, upsample_bilinear
 
 __all__ = [
     "DataError",
@@ -50,7 +51,9 @@ def write_tensor_file(path, records: dict[str, np.ndarray]) -> None:
 
     Layout (all little-endian): magic "ULRE", version u16, record count u16,
     then per record: name length u16 + UTF-8 name, dtype code u8 (0 = f64,
-    1 = u8), rank u8, dims as u64 each, raw row-major payload.
+    1 = u8), rank u8, dims as u64 each, raw row-major payload. Every record
+    is checked before the file is opened; each payload is then written
+    straight from its array's buffer.
     """
     if len(records) > 0xFFFF:
         raise TensorFileError(f"too many records ({len(records)})")
@@ -80,70 +83,90 @@ def write_tensor_file(path, records: dict[str, np.ndarray]) -> None:
         chunks.append(name_bytes)
         chunks.append(struct.pack("<BB", _CODE_FOR_KIND[arr.dtype.kind], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.tobytes())
+        chunks.append(arr.reshape(-1).view(np.uint8))
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 class _Reader:
-    """Consecutive slices of a file's bytes, as views that copy nothing."""
+    """Consecutive pieces of an open file, each checked against the file's
+    size before anything is allocated for it."""
 
-    def __init__(self, path, blob: bytes):
+    def __init__(self, path, fh):
         self.path = path
-        self.blob = memoryview(blob)
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.pos + n > len(self.blob):
+    def check(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
             raise TensorFileError(
                 f"{self.path}: truncated while reading {what} at byte {self.pos} "
-                f"(need {n} bytes, have {len(self.blob) - self.pos})"
+                f"(need {n} bytes, have {self.size - self.pos})"
             )
-        out = self.blob[self.pos : self.pos + n]
+
+    def _advance(self, n: int, got: int, what: str) -> None:
+        if got < n:  # the file shrank after its size was read
+            self.size = self.pos + got
+            self.check(n, what)
         self.pos += n
+
+    def take(self, n: int, what: str) -> bytes:
+        self.check(n, what)
+        out = self.fh.read(n)
+        self._advance(n, len(out), what)
         return out
+
+    def fill(self, arr: np.ndarray, what: str) -> None:
+        """Read the next arr.nbytes bytes of the file into arr's buffer; the
+        caller checks them against the file's size before allocating arr."""
+        self._advance(arr.nbytes, self.fh.readinto(arr.reshape(-1).view(np.uint8)), what)
 
 
 def read_tensor_file(path) -> dict[str, np.ndarray]:
     """Read a container written by write_tensor_file, preserving order.
 
-    The file is read once; each record is one aligned copy of its payload.
+    Each payload is read straight into its record's array, so a read holds
+    one copy of the payload, never the file's bytes beside it.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(path, blob)
-    if r.take(4, "magic") != TENSOR_MAGIC:
-        raise TensorFileError(f"{path}: bad magic (not a tensor container)")
-    version, count = struct.unpack("<HH", r.take(4, "header"))
-    if version != TENSOR_FORMAT_VERSION:
-        raise TensorFileError(f"{path}: unsupported format version {version}")
-    records: dict[str, np.ndarray] = {}
-    for i in range(count):
-        where = f"record {i} header"
-        (name_len,) = struct.unpack("<H", r.take(2, where))
-        try:
-            name = str(r.take(name_len, where), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise TensorFileError(f"{path}: record {i} name is not UTF-8") from exc
-        code, rank = struct.unpack("<BB", r.take(2, f"record {name!r} header"))
-        if code not in _DTYPE_CODES:
-            raise TensorFileError(f"{path}: record {name!r} has unknown dtype {code}")
-        dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"record {name!r} dims"))
-        dtype = _DTYPE_CODES[code]
-        n_elem = 1
-        for d in dims:
-            n_elem *= d
-        payload = r.take(n_elem * dtype.itemsize, f"record {name!r} payload")
-        if name in records:
-            raise TensorFileError(f"{path}: duplicate record name {name!r}")
-        try:
-            records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-        except ValueError as exc:  # more dims, or more bytes, than numpy can hold
-            raise TensorFileError(f"{path}: record {name!r}: {exc}") from exc
-    if r.pos != len(blob):
-        raise TensorFileError(
-            f"{path}: {len(blob) - r.pos} trailing bytes after last record"
-        )
+        r = _Reader(path, fh)
+        if r.take(4, "magic") != TENSOR_MAGIC:
+            raise TensorFileError(f"{path}: bad magic (not a tensor container)")
+        version, count = struct.unpack("<HH", r.take(4, "header"))
+        if version != TENSOR_FORMAT_VERSION:
+            raise TensorFileError(f"{path}: unsupported format version {version}")
+        records: dict[str, np.ndarray] = {}
+        for i in range(count):
+            where = f"record {i} header"
+            (name_len,) = struct.unpack("<H", r.take(2, where))
+            try:
+                name = str(r.take(name_len, where), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise TensorFileError(f"{path}: record {i} name is not UTF-8") from exc
+            code, rank = struct.unpack("<BB", r.take(2, f"record {name!r} header"))
+            if code not in _DTYPE_CODES:
+                raise TensorFileError(f"{path}: record {name!r} has unknown dtype {code}")
+            dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, f"record {name!r} dims"))
+            dtype = _DTYPE_CODES[code]
+            n_elem = 1
+            for d in dims:
+                n_elem *= d
+            what = f"record {name!r} payload"
+            r.check(n_elem * dtype.itemsize, what)
+            if name in records:
+                raise TensorFileError(f"{path}: duplicate record name {name!r}")
+            try:
+                arr = np.empty(dims, dtype=dtype)
+            except ValueError as exc:  # more dims, or more bytes, than numpy can hold
+                raise TensorFileError(f"{path}: record {name!r}: {exc}") from exc
+            r.fill(arr, what)
+            records[name] = arr
+        if r.pos != r.size:
+            raise TensorFileError(
+                f"{path}: {r.size - r.pos} trailing bytes after last record"
+            )
     return records
 
 
@@ -305,6 +328,8 @@ def gen_synthetic_scene(
     """
     if d < 2:
         raise ValueError("gen_synthetic_scene: d must be >= 2")
+    if h < 1 or w < 1:
+        raise ValueError("gen_synthetic_scene: h and w must be >= 1")
     if n_id_classes < 1:
         raise ValueError("gen_synthetic_scene: n_id_classes must be >= 1")
     if n_id_classes > 255:
@@ -328,8 +353,16 @@ def gen_synthetic_scene(
         dist2 = (yy[..., None] - anchor_y) ** 2 + (xx[..., None] - anchor_x) ** 2
         class_ids = dist2.argmin(axis=-1).astype(np.uint8)
 
-    noise = rng.standard_normal(h * w * d).reshape(h, w, d) * noise_sigma
-    features = mean_scale * directions[class_ids] + noise
+    features = directions[class_ids]
+    features *= mean_scale
+    # the noise is drawn NORMAL_CHUNK values at a time, never at full size;
+    # even chunks consume the stream exactly as one whole draw would
+    flat = features.reshape(-1)
+    for start in range(0, flat.size, NORMAL_CHUNK):
+        part = flat[start : start + NORMAL_CHUNK]
+        noise = rng.standard_normal(part.size)
+        noise *= noise_sigma
+        part += noise
     return features, class_ids
 
 
@@ -357,8 +390,10 @@ def make_feature_object(
     object for the compositor)."""
     direction = np.asarray(direction, dtype=np.float64)
     d = direction.shape[0]
-    noise = rng.standard_normal(h * w * d).reshape(h, w, d) * noise_sigma
-    return mean_scale * direction[None, None, :] + noise
+    obj = rng.standard_normal(h * w * d).reshape(h, w, d)
+    obj *= noise_sigma
+    obj += mean_scale * direction
+    return obj
 
 
 @dataclass(frozen=True)

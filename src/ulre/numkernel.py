@@ -202,6 +202,8 @@ _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_TO_UNIT = 2.0**-53
+# draws per Box-Muller chunk (2**14 pairs): its temporaries stay in cache
+NORMAL_CHUNK = 2**15
 
 
 class Rng:
@@ -221,16 +223,23 @@ class Rng:
         self._counter = 0
 
     def next_u64(self, n: int) -> np.ndarray:
-        """Next n raw 64-bit draws."""
+        """Next n raw 64-bit draws, mixed in place with one scratch array."""
         if n < 1:
             raise ValueError("Rng.next_u64: n must be >= 1")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            z = self._seed + idx * _SM64_GAMMA
-            z = (z ^ (z >> np.uint64(30))) * _SM64_MIX1
-            z = (z ^ (z >> np.uint64(27))) * _SM64_MIX2
-            return z ^ (z >> np.uint64(31))
+        t = np.empty_like(z)  # uint64 arrays wrap silently, as mix64 needs
+        z *= _SM64_GAMMA
+        z += self._seed
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
+        z *= _SM64_MIX1
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= _SM64_MIX2
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        return z
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1) (top 53 bits of each draw)."""
@@ -242,19 +251,20 @@ class Rng:
     def standard_normal(self, n: int) -> np.ndarray:
         """n i.i.d. standard normals via Box-Muller over the uniform stream.
 
-        Consumes 2*ceil(n/2) draws: first the radii block, then the angles.
+        Consumes 2*ceil(n/2) draws; pair i uses draws (2i, 2i+1), radius
+        then angle, so streams are prefix-stable. The draws are made
+        NORMAL_CHUNK at a time, never for the whole output at once.
         """
         if n < 1:
             raise ValueError("Rng.standard_normal: n must be >= 1")
-        pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs)
-        u1 = u[0::2]  # pair i uses draws (2i, 2i+1): prefix-stable streams
-        u2 = u[1::2]
-        radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], never log(0)
-        angle = 2.0 * math.pi * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        out = np.empty(2 * ((n + 1) // 2), dtype=np.float64)
+        for start in range(0, len(out), NORMAL_CHUNK):
+            block = out[start : start + NORMAL_CHUNK]
+            u = self.uniform(len(block))
+            radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))  # 1-u in (0,1], never log(0)
+            angle = 2.0 * math.pi * u[1::2]
+            block[0::2] = radius * np.cos(angle)
+            block[1::2] = radius * np.sin(angle)
         return out[:n]
 
     def permutation(self, n: int) -> np.ndarray:

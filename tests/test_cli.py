@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,10 @@ OUT_OF_RANGE = [
     ("gen-synthetic", "min_angle", "nan"),
     ("extrapolate", "bin_width", "0"),
     ("extrapolate", "bin_width", "1e-300"),
+    # seeds whose derived streams overflow 64 bits, which used to exit 3
+    ("gen-synthetic", "scene_seed", str(2**63)),  # objects: Rng(2 * scene_seed + 1)
+    ("gen-synthetic", "seed", str(2**64)),
+    ("toy-gaussian", "seed", str(2**64 - 1)),  # streams seed + 1 .. seed + 4
 ]
 
 
@@ -409,6 +414,18 @@ class TestExitCodes:
         assert set(cli._RULES) <= tested | {key for key, _ in BAD_SCORE_GEOMETRY}
 
     @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("gen-synthetic", dict(seed=2**64 - 5, scene_seed=2**63 - 2, n_scenes=2)),
+            ("toy-gaussian", dict(seed=2**64 - 5)),
+        ],
+    )
+    def test_largest_seeds_run(self, tmp_path, command, extra):
+        base = small_config(tmp_path, command)
+        cfg = write_config(tmp_path / "c.cfg", **{**base, **extra})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
         "extra", [dict(paste_ood="false"), dict(ood_per_scene="true")]
     )
     def test_ood_index_is_unchecked_without_a_reserved_direction(
@@ -467,6 +484,19 @@ class TestGenSynthetic:
         out = gen_scenes(tmp_path, "c", paste_ood="false")
         rec = read_tensor_file(out / "scene_000.ulre")
         assert rec["labels"].sum() == 0
+
+    def test_peak_memory(self, tmp_path):
+        # three 18 MiB feature maps: the noise is drawn in chunks, and the
+        # files are written and hashed without a copy
+        tracemalloc.start()
+        try:
+            gen_scenes(tmp_path, "big", n_scenes=3, height=384, width=384, dim=16,
+                       n_classes=4, ood_min_size=8, ood_max_size=16, scale_lo=0.5,
+                       scale_hi=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 class TestTrainScoreEval:
@@ -819,6 +849,19 @@ class TestManifest:
             assert actual == digest
         assert manifest["config"]["n_scenes"] == 1
         assert manifest["config_sha256"]
+
+    @pytest.mark.parametrize("size", [0, 16 * 2**20 + 5])
+    def test_sha256_reads_in_pieces(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(3).integers(0, 256, size, np.uint8).tobytes())
+        tracemalloc.start()
+        try:
+            digest = cli._sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < 2 * 2**20
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_config(

@@ -1,11 +1,13 @@
 """Tensor container I/O, synthetic generators, compositor, class means."""
 
+import io
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ulre import data
 from ulre.data import (
     DataError,
     TensorFileError,
@@ -77,8 +79,7 @@ class TestTensorFile:
             read_tensor_file(path)
 
     def test_read_peak_memory(self, tmp_path):
-        # the file's bytes plus one aligned copy per record; slicing the
-        # payload out of the file's bytes used to add a third copy
+        # each payload is read straight into its record's array: one copy
         payload = np.random.default_rng(1).normal(size=(2048, 1024))  # 16 MiB
         path = tmp_path / "big.ulre"
         write_tensor_file(path, {"features": payload, "ids": np.arange(7, dtype=np.uint8)})
@@ -88,10 +89,56 @@ class TestTensorFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * payload.nbytes
+        assert peak < 1.1 * payload.nbytes
         assert back["features"].tobytes() == payload.tobytes()
         assert back["features"].flags.aligned and back["features"].flags.writeable
         assert back["ids"].tolist() == list(range(7))
+
+    def test_write_adds_no_copy(self, tmp_path):
+        payload = np.random.default_rng(2).normal(size=(2048, 1024))  # 16 MiB
+        path = tmp_path / "big.ulre"
+        tracemalloc.start()
+        try:
+            write_tensor_file(path, {"features": payload})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert read_tensor_file(path)["features"].tobytes() == payload.tobytes()
+
+    def test_huge_claimed_payload_allocates_nothing(self, tmp_path):
+        path = tmp_path / "huge.ulre"
+        path.write_bytes(
+            b"ULRE"
+            + struct.pack("<HHH", 1, 1, 1)
+            + b"x"
+            + struct.pack("<BBQ", 1, 1, 2**40)
+            + b"\x00" * 64
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorFileError, match="truncated while reading record 'x' payload"):
+                read_tensor_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_short_read_is_truncation(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was read: readinto comes back short
+        class ShortReader(io.BufferedReader):
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf)[: len(buf) // 2])
+
+        path = tmp_path / "short.ulre"
+        write_tensor_file(path, {"a": np.arange(4.0), "b": np.arange(100.0)})
+        monkeypatch.setattr(
+            data, "open", lambda p, mode: ShortReader(io.FileIO(p, mode)), raising=False
+        )
+        with pytest.raises(
+            TensorFileError, match=r"truncated while reading record 'a' payload .*have 16\)"
+        ):
+            read_tensor_file(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ulre"
@@ -349,6 +396,18 @@ class TestSyntheticScene:
             gen_synthetic_scene(4, 4, 4, 0, seed=21)
         with pytest.raises(ValueError):
             gen_synthetic_scene(4, 4, 4, 2, seed=22, directions=np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="h and w"):
+            gen_synthetic_scene(0, 4, 4, 2, seed=23)
+
+    def test_peak_memory(self):
+        # the noise is drawn in chunks, never beside the features at full size
+        tracemalloc.start()
+        try:
+            feats, _ = gen_synthetic_scene(384, 384, 16, 4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * feats.nbytes
 
 
 class TestObjectHelpers:
