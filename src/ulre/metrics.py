@@ -17,8 +17,6 @@ __all__ = [
     "BinnedAnalysis",
     "postprocess_scores",
     "ap_and_fpr95",
-    "average_precision",
-    "fpr_at_95_tpr",
     "extrapolation_analysis",
     "binned_csv",
 ]
@@ -59,68 +57,30 @@ def _validate_scores_labels(scores, labels):
     return s, pos, n_pos, n_neg
 
 
-def _threshold_counts(s: np.ndarray, pos: np.ndarray):
-    """TP count and the count of all scores at each distinct score
-    threshold, descending.
-
-    Classification rule is score >= threshold; tied scores move together, so
-    the counts follow from value sorts: the number of scores >= a threshold
-    is read off the sorted scores, and the positives among them are counted
-    at their own thresholds and summed from the top.
-    """
-    ranked = np.sort(s)
-    first = np.empty(len(ranked), dtype=bool)  # first entry of each tie group
-    first[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    thresholds = ranked[first]
-    at_or_above = np.flatnonzero(first)
-    np.subtract(len(ranked), at_or_above, out=at_or_above)
-    del ranked, first
-    pos_ranked = s[pos]
-    pos_ranked.sort()  # ascending keys make each search start at the last hit
-    at = np.searchsorted(thresholds, pos_ranked)
-    del pos_ranked
-    tp = np.bincount(at, minlength=len(thresholds))[::-1]
-    del at
-    np.cumsum(tp, out=tp)
-    return tp, at_or_above[::-1]
-
-
 def ap_and_fpr95(scores, labels, tpr_target: float = 0.95) -> tuple[float, float]:
-    """`(average_precision, fpr_at_95_tpr)` from one validation and one
-    pass over the distinct thresholds."""
+    """Non-interpolated average precision and the lowest false positive rate
+    among thresholds reaching the TPR target.
+
+    A score is positive when >= the threshold, and the thresholds run down
+    through the distinct score values, so ties share a threshold.
+    AP = sum_n (R_n - R_{n-1}) * P_n, summed with `math.fsum`: the correctly
+    rounded sum of its terms. A threshold at the minimum score reaches
+    TPR = 1, so the FPR operating set is never empty.
+    """
     s, pos, n_pos, n_neg = _validate_scores_labels(scores, labels)
-    tp, at_or_above = _threshold_counts(s, pos)
+    # recall changes only at a positive's score, so any other threshold adds
+    # a zero AP term and has no fewer false positives than the next positive
+    # score above it: the distinct positive scores are the only thresholds
+    v, hits = np.unique(s[pos], return_counts=True)
+    neg = s[~pos]
+    neg.sort()
+    fp = n_neg - np.searchsorted(neg, v[::-1], "left")
+    del neg
+    tp = np.cumsum(hits[::-1])
     recall = tp / n_pos
-    precision = tp / at_or_above  # at_or_above == tp + fp
-    fp = np.subtract(at_or_above, tp, out=at_or_above)
-    del tp
+    precision = tp / (tp + fp)
     fpr95 = float((fp / n_neg)[recall >= tpr_target].min())
-    del fp
-    gain = np.empty(len(recall))  # recall minus the previous threshold's recall
-    gain[0] = recall[0]
-    np.subtract(recall[1:], recall[:-1], out=gain[1:])
-    gain *= precision
-    return float(gain.sum()), fpr95
-
-
-def average_precision(scores, labels) -> float:
-    """Non-interpolated average precision over all score thresholds.
-
-    AP = sum_n (R_n - R_{n-1}) * P_n with thresholds descending through the
-    distinct score values (ties share a threshold).
-    """
-    return ap_and_fpr95(scores, labels)[0]
-
-
-def fpr_at_95_tpr(scores, labels, tpr_target: float = 0.95) -> float:
-    """Lowest false positive rate among thresholds reaching the TPR target.
-
-    Thresholds are the distinct score values; equal scores are classified
-    atomically. A threshold at the minimum score always reaches TPR = 1, so
-    the operating set is never empty.
-    """
-    return ap_and_fpr95(scores, labels, tpr_target)[1]
+    return math.fsum(np.diff(recall, prepend=0.0) * precision), fpr95
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Detection metrics, score post-processing, cosine-distance analysis."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,8 @@ from ulre.data import DataError, class_means
 from ulre.metrics import (
     BinnedAnalysis,
     ap_and_fpr95,
-    average_precision,
     binned_csv,
     extrapolation_analysis,
-    fpr_at_95_tpr,
     postprocess_scores,
 )
 
@@ -53,13 +52,13 @@ def brute_force_fpr95(scores, labels):
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert average_precision([4.0, 3.0, 2.0, 1.0], [1, 1, 0, 0]) == 1.0
+        assert ap_and_fpr95([4.0, 3.0, 2.0, 1.0], [1, 1, 0, 0])[0] == 1.0
 
     def test_four_score_example_matches_oracle(self):
         scores = [0.9, 0.8, 0.7, 0.6]
         labels = [1, 0, 1, 0]
         want = brute_force_ap(scores, labels)
-        got = average_precision(scores, labels)
+        got = ap_and_fpr95(scores, labels)[0]
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(5.0 / 6.0, abs=1e-12)  # frozen oracle value
 
@@ -68,7 +67,7 @@ class TestAveragePrecision:
         n = 10_000
         labels = np.concatenate([np.ones(n // 2, dtype=int), np.zeros(n // 2, dtype=int)])
         scores = rng.uniform(size=n)
-        assert average_precision(scores, labels) == pytest.approx(0.5, abs=0.02)
+        assert ap_and_fpr95(scores, labels)[0] == pytest.approx(0.5, abs=0.02)
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(1)
@@ -79,7 +78,7 @@ class TestAveragePrecision:
                 labels[0] = 1 - labels[0]
             # tie-heavy: scores drawn from a small discrete set
             scores = rng.integers(0, 12, n) / 4.0
-            assert average_precision(scores, labels) == pytest.approx(
+            assert ap_and_fpr95(scores, labels)[0] == pytest.approx(
                 brute_force_ap(scores, labels), abs=1e-9
             )
 
@@ -87,31 +86,38 @@ class TestAveragePrecision:
         rng = np.random.default_rng(2)
         scores = rng.uniform(0.1, 10.0, 500)
         labels = rng.integers(0, 2, 500)
-        base = average_precision(scores, labels)
-        assert average_precision(np.log(scores), labels) == pytest.approx(base)
-        assert average_precision(5.0 * scores + 3.0, labels) == pytest.approx(base)
+        base = ap_and_fpr95(scores, labels)[0]
+        assert ap_and_fpr95(np.log(scores), labels)[0] == pytest.approx(base)
+        assert ap_and_fpr95(5.0 * scores + 3.0, labels)[0] == pytest.approx(base)
 
     def test_all_one_class_rejected(self):
         with pytest.raises(ValueError):
-            average_precision([1.0, 2.0], [1, 1])
+            ap_and_fpr95([1.0, 2.0], [1, 1])
         with pytest.raises(ValueError):
-            average_precision([1.0, 2.0], [0, 0])
+            ap_and_fpr95([1.0, 2.0], [0, 0])
 
 
 class TestFprAt95Tpr:
     def test_perfect_separation(self):
-        assert fpr_at_95_tpr([5.0, 4.0, 1.0, 0.5], [1, 1, 0, 0]) == 0.0
+        assert ap_and_fpr95([5.0, 4.0, 1.0, 0.5], [1, 1, 0, 0])[1] == 0.0
 
     def test_all_tied(self):
-        assert fpr_at_95_tpr([2.0, 2.0, 2.0, 2.0], [1, 0, 1, 0]) == 1.0
+        assert ap_and_fpr95([2.0, 2.0, 2.0, 2.0], [1, 0, 1, 0])[1] == 1.0
 
     def test_tie_example_from_sweep_oracle(self):
         scores = [2.0] * 20 + [1.0] * 19 + [3.0]
         labels = [1] * 20 + [0] * 20
-        assert fpr_at_95_tpr(scores, labels) == pytest.approx(0.05)
-        assert fpr_at_95_tpr(scores, labels) == pytest.approx(
+        assert ap_and_fpr95(scores, labels)[1] == pytest.approx(0.05)
+        assert ap_and_fpr95(scores, labels)[1] == pytest.approx(
             brute_force_fpr95(scores, labels)
         )
+
+    def test_recall_exactly_at_target_counts(self):
+        # 19 of 20 positives above both negatives: recall 0.95 at FPR 0
+        scores = [1.0, *range(3, 22), 2.0, 0.0]
+        labels = [1] * 20 + [0, 0]
+        assert ap_and_fpr95(scores, labels)[1] == 0.0
+        assert ap_and_fpr95(scores, labels)[1] == brute_force_fpr95(scores, labels)
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(3)
@@ -121,7 +127,7 @@ class TestFprAt95Tpr:
             if labels.sum() in (0, n):
                 labels[0] = 1 - labels[0]
             scores = rng.integers(0, 15, n) / 3.0
-            assert fpr_at_95_tpr(scores, labels) == pytest.approx(
+            assert ap_and_fpr95(scores, labels)[1] == pytest.approx(
                 brute_force_fpr95(scores, labels), abs=1e-9
             )
 
@@ -131,20 +137,18 @@ class TestFprAt95Tpr:
         labels = rng.integers(0, 2, 200)
         if labels.sum() in (0, 200):
             labels[0] = 1 - labels[0]
-        base = fpr_at_95_tpr(scores, labels)
+        base = ap_and_fpr95(scores, labels)[1]
         neg_idx = np.flatnonzero(labels == 0)[:20]
         lowered = scores.copy()
         lowered[neg_idx] -= 0.5
-        assert fpr_at_95_tpr(lowered, labels) <= base
+        assert ap_and_fpr95(lowered, labels)[1] <= base
 
 
-def test_ap_and_fpr95_equal_separate_metrics_on_ties():
+def test_ap_and_fpr95_on_ties_match_oracles():
     rng = np.random.default_rng(5)
     labels = rng.integers(0, 2, 500)
     scores = rng.integers(0, 7, 500) / 3.0
     ap, fpr95 = ap_and_fpr95(scores, labels)
-    assert ap == average_precision(scores, labels)
-    assert fpr95 == fpr_at_95_tpr(scores, labels)
     assert ap == pytest.approx(brute_force_ap(scores, labels), abs=1e-12)
     assert fpr95 == pytest.approx(brute_force_fpr95(scores, labels), abs=1e-12)
 
@@ -172,13 +176,14 @@ def reference_ap_and_fpr95(scores, labels, tpr_target=0.95):
     precision = tp / (tp + fp)
     recall = tp / n_pos
     prev_recall = np.concatenate([[0.0], recall[:-1]])
-    ap = float(((recall - prev_recall) * precision).sum())
+    ap = math.fsum((recall - prev_recall) * precision)
     fpr = fp / n_neg
     return ap, float(fpr[recall >= tpr_target].min())
 
 
 class TestApAndFpr95MatchesArgsortReference:
-    """The value-sort counts give the argsort form's floats, bit for bit."""
+    """The positive-score thresholds give the argsort form's FPR@95 bit for
+    bit, and its AP when the reference sums its terms correctly rounded."""
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_random_inputs(self, ties):
@@ -193,6 +198,23 @@ class TestApAndFpr95MatchesArgsortReference:
                 scores = rng.normal(size=n)
             for y in (labels, labels.astype(bool), labels.astype(np.float64)):
                 assert ap_and_fpr95(scores, y) == reference_ap_and_fpr95(scores, labels)
+            # every positive above every negative, every one below, all equal
+            span = np.ptp(scores) + 1.0
+            above = scores + span * labels
+            below = scores - span * labels
+            equal = np.full(n, scores[0])
+            for edge in (above, below, equal):
+                assert ap_and_fpr95(edge, labels) == reference_ap_and_fpr95(edge, labels)
+            assert ap_and_fpr95(above, labels) == (1.0, 0.0)
+            assert ap_and_fpr95(below, labels)[1] == 1.0
+            assert ap_and_fpr95(equal, labels) == (int(labels.sum()) / n, 1.0)
+            # one positive at the top and one at the bottom
+            ends = np.zeros(n, dtype=np.uint8)
+            ends[[np.argmax(scores), np.argmin(scores)]] = 1
+            if ends.sum() < n:
+                assert ap_and_fpr95(scores, ends) == reference_ap_and_fpr95(
+                    scores, ends
+                )
 
     def test_signed_zeros_tie(self):
         scores = np.array([0.0, -0.0, 0.0, 1.0, -0.0, -1.0])
@@ -210,7 +232,11 @@ class TestApAndFpr95MatchesArgsortReference:
         for position in (0, 5, 99):
             labels = np.full(100, 1 - minority)
             labels[position] = minority
-            for scores in (rng.normal(size=100), rng.integers(0, 4, 100) / 2.0):
+            normal = rng.normal(size=100)
+            top, bottom = normal.copy(), normal.copy()
+            top[position] = normal.max() + 1.0
+            bottom[position] = normal.min() - 1.0
+            for scores in (normal, rng.integers(0, 4, 100) / 2.0, top, bottom):
                 got = ap_and_fpr95(scores, labels)
                 assert got == reference_ap_and_fpr95(scores, labels)
                 assert ap_and_fpr95(scores, labels, 0.5) == reference_ap_and_fpr95(
@@ -234,18 +260,20 @@ class TestApAndFpr95MatchesArgsortReference:
             ap_and_fpr95(scores, labels)
 
     def test_peak_memory_per_pixel(self):
-        # the argsort form peaked near 89 bytes per pixel
+        # the argsort form peaked near 89 bytes per pixel, and a sort of every
+        # score near 33; the threshold arrays now scale with the positives
         n = 1_000_000
         rng = np.random.default_rng(9)
         scores = rng.permutation(n) / n
-        labels = (rng.random(n) < 0.5).astype(np.uint8)
-        tracemalloc.start()
-        try:
-            ap_and_fpr95(scores, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48 * n
+        for share, bound in ((0.5, 48), (0.01, 12)):
+            labels = (rng.random(n) < share).astype(np.uint8)
+            tracemalloc.start()
+            try:
+                ap_and_fpr95(scores, labels)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * n, share
 
 
 class TestPostprocess:

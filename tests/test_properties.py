@@ -1,10 +1,15 @@
 """Property tests: every reader either returns its result or raises its own
-error type, whatever bytes it is given (random, truncated or mutated)."""
+error type, whatever bytes it is given (random, truncated or mutated), and
+`eval` exits 0, 2 or 3 on malformed inputs, with one error line."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ulre import cli
 from ulre import model as mdl
@@ -119,3 +124,64 @@ def test_load_config_returns_a_dict_or_raises_config_error(tmp_path, blob):
         assert str(exc).startswith(f"{path}")
     else:
         assert all(isinstance(k, str) and isinstance(v, str) for k, v in raw.items())
+
+
+
+# one fault per example, in one of the files; "one class" holds in all of them
+EVAL_FAULTS = {
+    "none": 0,
+    "rank": 3,
+    "shape": 3,
+    "non-finite": 3,
+    "non-binary": 3,
+    "one class": 3,
+    "lengths": 3,
+    "no file": 2,
+}
+
+
+@pytest.mark.parametrize("fault", list(EVAL_FAULTS))
+@settings(PROPERTY, max_examples=12)
+@given(data=st.data())
+def test_eval_exits_0_or_with_one_error_line(tmp_path, fault, data):
+    n_files = data.draw(st.integers(1, 3))
+    bad = data.draw(st.integers(0, n_files - 1))
+    spaths, lpaths, pooled = [], [], []
+    for i in range(n_files):
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2)))
+        scores = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+        labels = data.draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
+        if fault == "one class":
+            labels[:] = bad % 2
+        elif i == bad and fault == "rank":
+            scores = data.draw(st.sampled_from([scores[0, 0], scores[0], scores[None]]))
+        elif i == bad and fault == "shape":
+            labels = np.resize(labels, (shape[0] + 1, shape[1]))
+        elif i == bad and fault == "non-finite":
+            scores.flat[-1] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif i == bad and fault == "non-binary":
+            labels = labels.astype(np.float64)
+            labels.flat[0] = data.draw(st.sampled_from([2.0, 0.5, -1.0]))
+        spath, lpath = tmp_path / f"s{i}.ulre", tmp_path / f"l{i}.ulre"
+        write_tensor_file(spath, {"scores": scores})
+        write_tensor_file(lpath, {"labels": labels})
+        spaths.append(str(spath))
+        lpaths.append(str(lpath))
+        pooled.extend(labels.ravel().tolist())
+    if fault == "lengths":
+        lpaths = lpaths[:-1] if n_files > 1 else lpaths * 2
+    elif fault == "no file":
+        lpaths[bad] = str(tmp_path / "absent.ulre")
+    config = tmp_path / "eval.cfg"
+    config.write_text(f"scores={','.join(spaths)}\nlabels={','.join(lpaths)}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--config", str(config), "--out", str(tmp_path / "o")])
+    lines = err.getvalue().splitlines()
+    one_class = sum(pooled) in (0, len(pooled))
+    assert code == (3 if fault == "none" and one_class else EVAL_FAULTS[fault]), lines
+    if code == 0:
+        assert lines == [] and (tmp_path / "o" / "metrics.json").is_file()
+    else:
+        prefix = {2: "config error: ", 3: "data error: "}[code]
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
