@@ -309,11 +309,13 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs) -> Non
 _RANK_SHAPES = {2: "H x W", 3: "H x W x D"}
 
 
-def _records(path, **ranks) -> list[np.ndarray]:
+def _records(path, records=None, **ranks) -> list[np.ndarray]:
     """The named records of one tensor file, in the order given; each must
     exist, have the rank given for it, if any (None: any rank), and hold
-    only finite values."""
-    records = read_tensor_file(path)
+    only finite values. `records` is the file's contents when the caller
+    has read it already."""
+    if records is None:
+        records = read_tensor_file(path)
     found = []
     for name, ndim in ranks.items():
         if name not in records:
@@ -325,10 +327,10 @@ def _records(path, **ranks) -> list[np.ndarray]:
     return found
 
 
-def _positives(path, shape) -> np.ndarray:
+def _positives(path, shape, records=None) -> np.ndarray:
     """The boolean map of a labels record's 1s; the record must have the
     given shape and hold only 0 and 1."""
-    [lab] = _records(path, labels=None)
+    [lab] = _records(path, records, labels=None)
     if lab.shape != shape:
         raise DataError(f"{path}: labels shape {lab.shape} does not match {shape}")
     positive = lab == 1
@@ -402,8 +404,10 @@ def _load_pixel_rows(feature_paths, label_paths):
     xs, ys = [], []
     dim = None
     for fpath, lpath in zip(feature_paths, label_paths):
-        [fm] = _records(fpath, features=3)
-        positive = _positives(lpath, fm.shape[:2])
+        records = read_tensor_file(fpath)
+        [fm] = _records(fpath, records, features=3)
+        # a scene file named as both features and labels is read once
+        positive = _positives(lpath, fm.shape[:2], records if lpath == fpath else None)
         if dim is None:
             dim = fm.shape[2]
         elif fm.shape[2] != dim:
@@ -582,6 +586,7 @@ def cmd_gen_synthetic(resolved: dict, out_dir: Path) -> list[str]:
             out_dir / name,
             {"features": feats, "labels": labels, "class_ids": ids},
         )
+        del feats, labels, ids  # the next scene is built without this one
         outputs.append(name)
     return outputs
 

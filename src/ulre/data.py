@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import NORMAL_CHUNK, Rng, resize_nearest, upsample_bilinear
+from .numkernel import CHUNK, Rng, resize_nearest, upsample_bilinear
 
 __all__ = [
     "DataError",
@@ -222,7 +222,8 @@ def anomaly_mix(
     from scale_range (bilinear for values, nearest for the mask) and pasted
     at a uniform random position fully inside the target. Returns the
     composited raster plus the pseudo label map, which is 1 exactly on the
-    pasted mask pixels.
+    pasted mask pixels. A float64 target is pasted into in place and
+    returned; any other target is left unchanged and pasted into a copy.
     """
     target = np.asarray(target, dtype=np.float64)
     obj = np.asarray(obj, dtype=np.float64)
@@ -257,13 +258,12 @@ def anomaly_mix(
         obj_r = upsample_bilinear(obj, new_h, new_w)
         top = int(rng.integers(1, th - new_h + 1)[0])
         left = int(rng.integers(1, tw - new_w + 1)[0])
-        out = target.copy()
-        region = out[top : top + new_h, left : left + new_w]
+        region = target[top : top + new_h, left : left + new_w]
         sel = mask_r.astype(bool)
         region[sel] = obj_r[sel]
         label = np.zeros((th, tw), dtype=np.uint8)
         label[top : top + new_h, left : left + new_w][sel] = 1
-        return out, label
+        return target, label
     raise DataError(
         f"anomaly_mix: no admissible scale in {scale_range} after "
         f"{max_retries} tries (object {oh}x{ow} into target {th}x{tw})"
@@ -304,6 +304,20 @@ def sample_unit_directions(
         f"sample_unit_directions: could not place {count} directions in "
         f"{dim}-D with min angle {min_angle} after {max_tries} draws"
     )
+
+
+def _nearest_anchor(h: int, w: int, anchor_y, anchor_x) -> np.ndarray:
+    """Index (u8) of each pixel's nearest anchor; a running minimum that
+    moves only where `d < best` keeps the lowest index on ties, as argmin."""
+    dy2 = (np.arange(h)[:, None] - anchor_y) ** 2
+    dx2 = (np.arange(w)[:, None] - anchor_x) ** 2
+    best = dy2[:, 0, None] + dx2[None, :, 0]
+    ids, d = np.zeros((h, w), dtype=np.uint8), np.empty_like(best)
+    for k in range(1, len(anchor_y)):
+        np.add(dy2[:, k, None], dx2[None, :, k], out=d)
+        ids[d < best] = k
+        np.minimum(best, d, out=best)
+    return ids
 
 
 def gen_synthetic_scene(
@@ -349,17 +363,14 @@ def gen_synthetic_scene(
     else:
         anchor_y = rng.uniform_range(n_id_classes, 0.0, float(h))
         anchor_x = rng.uniform_range(n_id_classes, 0.0, float(w))
-        yy, xx = np.mgrid[0:h, 0:w]
-        dist2 = (yy[..., None] - anchor_y) ** 2 + (xx[..., None] - anchor_x) ** 2
-        class_ids = dist2.argmin(axis=-1).astype(np.uint8)
+        class_ids = _nearest_anchor(h, w, anchor_y, anchor_x)
 
-    features = directions[class_ids]
-    features *= mean_scale
-    # the noise is drawn NORMAL_CHUNK values at a time, never at full size;
+    features = (directions * mean_scale)[class_ids]
+    # the noise is drawn CHUNK values at a time, never at full size;
     # even chunks consume the stream exactly as one whole draw would
     flat = features.reshape(-1)
-    for start in range(0, flat.size, NORMAL_CHUNK):
-        part = flat[start : start + NORMAL_CHUNK]
+    for start in range(0, flat.size, CHUNK):
+        part = flat[start : start + CHUNK]
         noise = rng.standard_normal(part.size)
         noise *= noise_sigma
         part += noise

@@ -117,21 +117,13 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return w / w.sum()  # renormalized after truncation: constants preserved
 
 
-def _convolve_rows(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    radius = len(kernel) // 2
-    padded = np.pad(img, ((radius, radius), (0, 0)), mode="symmetric")
-    out = np.zeros_like(img)
-    for k, wk in enumerate(kernel):
-        out += wk * padded[k : k + img.shape[0], :]
-    return out
-
-
 def gaussian_blur(map2d, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of a 2-D map.
 
     Kernel radius is ceil(3*sigma), renormalized after truncation; borders
     use edge-inclusive reflection. Constant maps come back unchanged up to
-    rounding.
+    rounding. Bands of rows are blurred in turn, so the result is the one
+    full-size array made.
     """
     img = np.asarray(map2d, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
@@ -141,8 +133,19 @@ def gaussian_blur(map2d, sigma: float) -> np.ndarray:
     if not sigma > 0.0:
         raise ValueError("gaussian_blur: sigma must be positive")
     kernel = _gaussian_kernel(sigma)
-    out = _convolve_rows(img, kernel)
-    return np.ascontiguousarray(_convolve_rows(out.T, kernel).T)
+    r, (h, w) = len(kernel) // 2, img.shape
+    rows, cols = (np.pad(np.arange(n), r, mode="symmetric") for n in (h, w))
+    band = max(1, CHUNK // (w + 2 * r))  # scratch arrays of <= CHUNK elements
+    out = np.zeros_like(img)
+    for top in range(0, h, band):
+        n = min(band, h - top)
+        down, tmp = np.zeros((n, w)), np.empty((n, w))
+        for k, wk in enumerate(kernel):
+            down += np.multiply(img[rows[top + k : top + k + n]], wk, out=tmp)
+        padded, dst = down[:, cols], out[top : top + n]
+        for k, wk in enumerate(kernel):
+            dst += np.multiply(padded[:, k : k + w], wk, out=tmp)
+    return out
 
 
 def _source_coords(n_out: int, n_in: int):
@@ -174,9 +177,13 @@ def upsample_bilinear(map2d, out_h: int, out_w: int) -> np.ndarray:
     channels = (1,) * (img.ndim - 2)
     fy = fy.reshape((-1, 1, *channels))
     fx = fx.reshape((1, -1, *channels))
-    top = img[np.ix_(y0, x0)] * (1.0 - fx) + img[np.ix_(y0, x1)] * fx
-    bottom = img[np.ix_(y1, x0)] * (1.0 - fx) + img[np.ix_(y1, x1)] * fx
-    return top * (1.0 - fy) + bottom * fy
+    across = img[:, x0] * (1.0 - fx)  # each source row once, then between rows
+    across += img[:, x1] * fx
+    out = across[y0] * (1.0 - fy)
+    below = across[y1]
+    below *= fy
+    out += below
+    return out
 
 
 def resize_nearest(map2d, out_h: int, out_w: int) -> np.ndarray:
@@ -202,8 +209,9 @@ _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_TO_UNIT = 2.0**-53
-# draws per Box-Muller chunk (2**14 pairs): its temporaries stay in cache
-NORMAL_CHUNK = 2**15
+# elements per piece of chunked work (Box-Muller draws, scene noise, blur
+# bands): its temporaries stay in cache
+CHUNK = 2**15
 
 
 class Rng:
@@ -253,13 +261,13 @@ class Rng:
 
         Consumes 2*ceil(n/2) draws; pair i uses draws (2i, 2i+1), radius
         then angle, so streams are prefix-stable. The draws are made
-        NORMAL_CHUNK at a time, never for the whole output at once.
+        CHUNK at a time, never for the whole output at once.
         """
         if n < 1:
             raise ValueError("Rng.standard_normal: n must be >= 1")
         out = np.empty(2 * ((n + 1) // 2), dtype=np.float64)
-        for start in range(0, len(out), NORMAL_CHUNK):
-            block = out[start : start + NORMAL_CHUNK]
+        for start in range(0, len(out), CHUNK):
+            block = out[start : start + CHUNK]
             u = self.uniform(len(block))
             radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))  # 1-u in (0,1], never log(0)
             angle = 2.0 * math.pi * u[1::2]

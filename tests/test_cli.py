@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,6 +499,18 @@ class TestGenSynthetic:
             tracemalloc.stop()
         assert peak < 50 * 2**20
 
+    def test_scene_is_built_without_the_last_one(self, tmp_path):
+        # each scene is pasted into in place and dropped once written
+        tracemalloc.start()
+        try:
+            gen_scenes(tmp_path, "mid", n_scenes=3, height=128, width=128, dim=16,
+                       n_classes=4, ood_min_size=8, ood_max_size=16, scale_lo=0.5,
+                       scale_hi=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * (128 * 128 * 16 * 8)
+
 
 class TestTrainScoreEval:
     @pytest.fixture()
@@ -530,6 +543,27 @@ class TestTrainScoreEval:
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert "model.ulre" in manifest["outputs"]
+
+    def test_train_reads_each_file_once(self, tmp_path, scenes, monkeypatch):
+        reads = []
+
+        def counting_read(path):
+            reads.append(str(path))
+            return read_tensor_file(path)
+
+        monkeypatch.setattr(cli, "read_tensor_file", counting_read)
+        names = [f"{scenes}/scene_000.ulre", f"{scenes}/scene_001.ulre"]
+        same = self._train(tmp_path, scenes, "same")
+        assert reads == names  # features and labels name the same files
+        copies = tmp_path / "labels"
+        copies.mkdir()
+        for name in names:
+            (copies / Path(name).name).write_bytes(Path(name).read_bytes())
+        reads.clear()
+        labels = ",".join(str(copies / Path(name).name) for name in names)
+        other = self._train(tmp_path, scenes, "other", labels=labels)
+        assert len(reads) == 4
+        assert (same / "model.ulre").read_bytes() == (other / "model.ulre").read_bytes()
 
     def test_score_eval_roundtrip(self, tmp_path, scenes):
         model_dir = self._train(tmp_path, scenes, "model")

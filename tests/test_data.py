@@ -300,6 +300,25 @@ class TestAnomalyMix:
         changed = out != 0.0
         assert set(np.unique(label[changed])) <= {1}
 
+    def test_float64_target_is_pasted_in_place(self):
+        target = np.zeros((16, 16, 3))
+        out, label = anomaly_mix(
+            target, np.ones((4, 4, 3)), np.ones((4, 4), dtype=np.uint8), Rng(5)
+        )
+        assert out is target
+        np.testing.assert_array_equal(target[label == 1], 1.0)
+        np.testing.assert_array_equal(target[label == 0], 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_other_target_is_left_unchanged(self, dtype):
+        target = np.zeros((16, 16), dtype=dtype)
+        out, label = anomaly_mix(
+            target, np.ones((4, 4)), np.ones((4, 4), dtype=np.uint8), Rng(5)
+        )
+        assert out.dtype == np.float64 and label.sum() > 0
+        assert not target.any()
+        np.testing.assert_array_equal(out[label == 1], 1.0)
+
     def test_empty_mask_rejected(self):
         with pytest.raises(DataError, match="empty"):
             anomaly_mix(
@@ -310,8 +329,8 @@ class TestAnomalyMix:
         target = np.zeros((32, 32))
         obj = np.ones((4, 4))
         mask = np.ones((4, 4), dtype=np.uint8)
-        _, l1 = anomaly_mix(target, obj, mask, Rng(1), scale_range=(1.0, 1.0))
-        _, l2 = anomaly_mix(target, obj, mask, Rng(2), scale_range=(1.0, 1.0))
+        _, l1 = anomaly_mix(target.copy(), obj, mask, Rng(1), scale_range=(1.0, 1.0))
+        _, l2 = anomaly_mix(target.copy(), obj, mask, Rng(2), scale_range=(1.0, 1.0))
         assert not np.array_equal(l1, l2)
         for lab in (l1, l2):
             assert set(np.unique(lab)) <= {0, 1}
@@ -339,8 +358,8 @@ class TestAnomalyMix:
         target = np.zeros((24, 24, 2))
         obj = np.ones((5, 5, 2))
         mask = ellipse_mask(5, 5)
-        o1, l1 = anomaly_mix(target, obj, mask, Rng(10))
-        o2, l2 = anomaly_mix(target, obj, mask, Rng(10))
+        o1, l1 = anomaly_mix(target.copy(), obj, mask, Rng(10))
+        o2, l2 = anomaly_mix(target.copy(), obj, mask, Rng(10))
         np.testing.assert_array_equal(o1, o2)
         np.testing.assert_array_equal(l1, l2)
 

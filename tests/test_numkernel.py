@@ -1,5 +1,7 @@
 """Numeric foundation: special functions, filters, resampling, RNG."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage, special
@@ -115,6 +117,17 @@ class TestGaussianBlur:
         want = ndimage.gaussian_filter(img, sigma, truncate=3.0, mode="reflect")
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_peak_memory(self):
+        # the result is the one full-size array; the rest is band scratch
+        img = np.random.default_rng(12).random((768, 768))
+        tracemalloc.start()
+        try:
+            gaussian_blur(img, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * img.nbytes
+
     def test_errors(self):
         with pytest.raises(ValueError):
             gaussian_blur(np.zeros((0, 3)), 1.0)
@@ -155,6 +168,18 @@ class TestUpsampleBilinear:
         )
         got = upsample_bilinear(img, out_h, out_w)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_peak_memory(self):
+        # one half-height pass across the rows, then the result and one
+        # full-size product between rows
+        img = np.random.default_rng(13).random((384, 384))
+        tracemalloc.start()
+        try:
+            out = upsample_bilinear(img, 768, 768)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * out.nbytes
 
     def test_errors(self):
         with pytest.raises(ValueError):
