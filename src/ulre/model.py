@@ -33,26 +33,15 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
-# The most rows in one part of a forward pass, and the row multiple that
-# every part boundary falls on. Both are part of the byte contract, because
-# a matmul's result bits can depend on its row count. With OpenBLAS, products
-# 2, 3, 4 or 12 columns wide take another kernel below about 10^6
-# multiply-adds, so the evidential head's 64-to-2 last layer differs from
-# one whole-map call on parts of 4,096 rows; and a one-column matmul (the
-# sigmoid head's last layer) computes the rows past the last multiple of 4
-# with another kernel. So `forward` cuts near-equal parts of more than 8,000
-# rows on multiples of 64 rows, never a short tail part, and runs the last
-# layer over each whole part. 16,384 rows bound the last hidden activation
-# of a 64-wide layer at 8 MiB.
-_FORWARD_ROWS = 16_384
-_FORWARD_ALIGN = 64
-# The most rows in one block of the hidden layers in `forward`, cut like the
-# parts. A block of 256 rows of a 256-wide layer takes 512 KiB, which stays
-# in cache from its matmul through the bias add and the leaky ReLU into the
-# next layer. Hidden products of other widths than those above give the
-# bits of a whole part on every block of 2 rows or more; a 1-row product
-# (numpy's gemv) does not, so no block is a short tail.
+# The most rows in one block of `forward`, and the row multiple that every
+# inner block boundary falls on. Both are part of the byte contract, because
+# a matmul's result bits can depend on its row count (a 1-row product goes
+# through numpy's gemv; a one-column one computes the rows past the last
+# multiple of 4 with another kernel), so no block is a short tail. A 256-row
+# block of a 256-wide layer (512 KiB) stays in cache from its matmul through
+# the bias add and the leaky ReLU into the next layer.
 _BLOCK_ROWS = 256
+_FORWARD_ALIGN = 64
 # Adam's decay rates and guard: the defaults of Kingma & Ba (ICLR 2015)
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -161,7 +150,7 @@ def _check_architecture(dims: list[int], head: str, slope: float) -> None:
             f"final width {dims[-1]} incompatible with head {head!r} "
             f"(needs {HEADS[head].width})"
         )
-    # leaky ReLU is max(z, slope * z) in _hidden_rows; its mask is h > 0
+    # leaky ReLU is max(z, slope * z) in _logit_rows; its mask is h > 0
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky-ReLU slope must lie in [0, 1], got {slope!r}")
 
@@ -200,8 +189,8 @@ def _cuts(n: int, most: int) -> list[int]:
 
 
 def _workers() -> int:
-    """How many threads `forward` runs a part's hidden-layer blocks on: the
-    cores that OpenBLAS's own threads leave idle, at least 1.
+    """How many threads `forward` runs its blocks on: the cores that
+    OpenBLAS's own threads leave idle, at least 1.
 
     OpenBLAS takes its thread count from the first positive integer in
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, and uses
@@ -224,36 +213,36 @@ def _workers() -> int:
     return max(1, cores // blas)
 
 
-def _hidden_rows(model: Estimator, x, bounds, blocks, scratch, last) -> None:
-    """Write the last hidden layer's activations of rows bounds[0] to
-    bounds[-1] of x into the same rows of `last`: the one kernel that runs
-    a hidden layer (matmul, bias add, leaky ReLU as max(z, slope * z)).
+def _logit_rows(model: Estimator, x, bounds, hidden, scratch, out) -> None:
+    """Write the logits of rows bounds[0] to bounds[-1] of x into the same
+    rows of `out`: the one kernel that runs the network's layers.
 
-    The rows go through every hidden layer one block at a time, from each
-    bound to the next. `blocks` holds one block of each hidden layer but the
-    last, and `scratch` one block's slope * z.
+    The rows go through every layer one block at a time, from each bound to
+    the next: each hidden layer as matmul, bias add and leaky ReLU (max(z,
+    slope * z)), the last layer as matmul and bias add. `hidden` holds one
+    block of each hidden layer, and `scratch` one block's slope * z.
     """
-    layers = list(zip(model.weights[:-1], model.biases[:-1]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         h = x[lo:hi]
-        for (w, b), buf in zip(layers, [*blocks, last[lo:]]):
+        for w, b, buf in zip(model.weights[:-1], model.biases[:-1], hidden):
             z = np.matmul(h, w, out=buf[: hi - lo])
             z += b
             t = np.multiply(z, model.slope, out=scratch[: z.size].reshape(z.shape))
             h = np.maximum(z, t, out=z)
+        z = np.matmul(h, model.weights[-1], out=out[lo:hi])
+        z += model.biases[-1]
 
 
 def forward(model: Estimator, features) -> np.ndarray:
     """Row-wise logits for an (N, D) batch of feature vectors.
 
-    More than _FORWARD_ROWS rows are split into near-equal parts of at most
-    _FORWARD_ROWS rows each. Within a part the hidden layers run block by
-    block, and the last layer runs over the whole part's last hidden
-    activation. The blocks of a part are shared out in near-equal runs of
-    consecutive blocks, one run per worker (`_workers`): the calling thread
-    runs the first, a thread pool the others, each with its own buffers.
-    A block's bits do not depend on the thread that computes it. The
-    buffers are allocated once per call.
+    The rows are cut into near-equal blocks of at most _BLOCK_ROWS rows,
+    and each block goes through every layer on its own. The blocks are
+    shared out in near-equal runs of consecutive blocks, one run per worker
+    (`_workers`): the calling thread runs the first, a thread pool the
+    others, each with its own buffers. A block's bits do not depend on the
+    thread that computes it. The buffers are allocated once per call, on
+    the calling thread.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
@@ -261,19 +250,20 @@ def forward(model: Estimator, features) -> np.ndarray:
             f"forward: expected (N, {model.layer_dims[0]}) input, got {x.shape}"
         )
     n = x.shape[0]
-    parts = _cuts(n, _FORWARD_ROWS)
-    rows = max(np.diff(parts))
-    block = min(rows, _BLOCK_ROWS)
+    bounds = _cuts(n, _BLOCK_ROWS)
+    n_blocks = len(bounds) - 1
+    workers = min(_workers(), n_blocks)
+    ends = [i * n_blocks // workers for i in range(workers + 1)]
+    runs = [bounds[a : b + 1] for a, b in zip(ends[:-1], ends[1:])]
+    block = min(n, _BLOCK_ROWS)
     hidden_dims = model.layer_dims[1:-1]
-    workers = min(_workers(), len(_cuts(rows, _BLOCK_ROWS)) - 1) if hidden_dims else 1
     buffers = [
         (
-            [np.empty((block, d)) for d in hidden_dims[:-1]],
+            [np.empty((block, d)) for d in hidden_dims],
             np.empty(block * max(hidden_dims, default=0)),
         )
-        for _ in range(workers)
+        for _ in runs
     ]
-    last = np.empty((rows, hidden_dims[-1])) if hidden_dims else None
     logits = np.empty((n, model.layer_dims[-1]))
     pool = None
     if workers > 1:  # imported here: it adds some 10 ms to importing ulre
@@ -281,27 +271,16 @@ def forward(model: Estimator, features) -> np.ndarray:
 
         pool = ThreadPoolExecutor(workers - 1)
     try:
-        for start, stop in zip(parts[:-1], parts[1:]):
-            h = x[start:stop]
-            if hidden_dims:
-                bounds = _cuts(stop - start, _BLOCK_ROWS)
-                n_blocks = len(bounds) - 1
-                k = min(workers, n_blocks)
-                ends = [i * n_blocks // k for i in range(k + 1)]
-                runs = [bounds[a : b + 1] for a, b in zip(ends[:-1], ends[1:])]
-                futures = [
-                    pool.submit(_hidden_rows, model, h, run, *bufs, last)
-                    for run, bufs in zip(runs[1:], buffers[1:])
-                ]
-                _hidden_rows(model, h, runs[0], *buffers[0], last)
-                for future in futures:
-                    future.result()
-                h = last[: stop - start]
-            np.matmul(h, model.weights[-1], out=logits[start:stop])
+        futures = [
+            pool.submit(_logit_rows, model, x, run, *bufs, logits)
+            for run, bufs in zip(runs[1:], buffers[1:])
+        ]
+        _logit_rows(model, x, runs[0], *buffers[0], logits)
+        for future in futures:
+            future.result()
     finally:
         if pool is not None:
             pool.shutdown()
-    logits += model.biases[-1]
     return logits
 
 
@@ -317,8 +296,8 @@ def _views(flat: np.ndarray, layer_dims: list[int]):
 class _Step:
     """Mean loss and parameter gradients of one mini-batch of up to `rows`
     rows, computed in buffers allocated once: one activation h per hidden
-    layer, which `_hidden_rows` fills with the batch as one block, the
-    logits, and a scratch of rows x the widest hidden layer. Backward, once
+    layer and the logits, which `_logit_rows` fills with the batch as one
+    block, and a scratch of rows x the widest hidden layer. Backward, once
     a layer's weight gradient has read h, h becomes the leaky-ReLU mask,
     delta @ W.T goes into the scratch, and their product (the next delta)
     into h. Each call overwrites the flat `grad` (see `_views`) and returns
@@ -337,16 +316,11 @@ class _Step:
     def __call__(self, xb, y_onehot, epoch: int):
         model = self.model
         n = xb.shape[0]
-        last = len(model.weights) - 1
-        h = xb
-        if last:
-            _hidden_rows(model, xb, [0, n], self.h[:-1], self.scratch, self.h[-1])
-            h = self.h[-1][:n]
-        z = np.matmul(h, model.weights[-1], out=self.logits[:n])
-        z += model.biases[-1]
+        _logit_rows(model, xb, [0, n], self.h, self.scratch, self.logits)
+        z = self.logits[:n]
         loss, delta = HEADS[model.head].loss_and_grad(z, y_onehot, epoch)
         delta /= n
-        for i in range(last, -1, -1):
+        for i in range(len(model.weights) - 1, -1, -1):
             h = self.h[i - 1][:n] if i > 0 else xb
             np.matmul(h.T, delta, out=self.grads_w[i])
             np.sum(delta, axis=0, out=self.grads_b[i])

@@ -3,12 +3,12 @@ where a head applies, and the sha256 of every file they write.
 
 The runs happen in one child process with OpenBLAS pinned to one thread,
 because some output bits depend on the BLAS thread count (README). On a
-host with 2 or more cores, that child's `forward` shares each part's
-hidden-layer blocks between worker threads, so the pins also hold the
-multi-worker path to the bytes of one worker. They run
-from a scratch directory with relative paths, so the manifests, which record
-the config, are the same in every checkout. The scenes have 97 x 175 =
-16,975 rows, so `forward` cuts them into two parts with a ragged last one.
+host with 2 or more cores, that child's `forward` shares its 256-row
+blocks between worker threads, so the pins also hold the multi-worker path
+to the bytes of one worker. They run from a scratch directory with
+relative paths, so the manifests, which record the config, are the same in
+every checkout. The scenes have 97 x 175 = 16,975 rows, so `forward`'s
+last block is not a multiple of 64 rows.
 
 The pins hold only for the OpenBLAS build and CPU kernel they were taken
 with: OpenBLAS 0.3.31 (scipy-openblas64) running its Haswell kernels, as
@@ -18,8 +18,8 @@ then the pins fail with no change to the code.
 
 A change that moves an output byte on purpose updates the pins and states
 the size of the change and its reason in CHANGES.md. Two more tests check
-that the evidential head's `score` and `train` bytes are the same on 1 and
-2 threads.
+that both heads' `score` bytes and the evidential head's `train` bytes are
+the same on 1 and 2 threads.
 """
 
 import json
@@ -182,13 +182,15 @@ def run_all() -> dict[str, str]:
 
 
 def score_maps(prefix: str) -> dict[str, str]:
-    """Score every `map_*.ulre` in the current directory with `model.ulre`;
-    return the sha256 of each score file, keyed by map name."""
+    """Score every `map_*.ulre` in the current directory with every
+    `model_*.ulre`; return the sha256 of each score file, keyed by model
+    and map name."""
     hashes = {}
-    for path in sorted(Path().glob("map_*.ulre")):
-        out = f"{prefix}_{path.stem}"
-        _cli("score", out, {"checkpoint": "model.ulre", "features": path.name})
-        hashes[path.stem] = cli._sha256(Path(out, "scores.ulre"))
+    for model in sorted(Path().glob("model_*.ulre")):
+        for path in sorted(Path().glob("map_*.ulre")):
+            out = f"{prefix}_{model.stem}_{path.stem}"
+            _cli("score", out, {"checkpoint": model.name, "features": path.name})
+            hashes[f"{model.stem}_{path.stem}"] = cli._sha256(Path(out, "scores.ulre"))
     return hashes
 
 
@@ -225,13 +227,16 @@ def test_outputs_match_pinned_hashes(tmp_path):
     assert {k: v for k, v in got.items() if PINNED[k] != v} == {}
 
 
-def test_evidential_score_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 4,096 rows run as one part, 16,385 as two with a ragged tail block,
-    # 147,456 as nine. Both threads are used at these sizes: a sigmoid net's
-    # scores of the 16,385-row map differ between 1 and 2 threads (README).
+def test_score_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 4,096, 16,385, 147,456 and 16,389 rows, each run as 256-row blocks.
+    # A one-column product (the sigmoid head's last layer) shares its rows
+    # between threads, so one over 16,385 or 16,389 rows gives other bits
+    # on 1 and 2 threads; a block of at most 256 rows does not.
     rng = np.random.default_rng(5)
-    mdl.save_model(tmp_path / "model.ulre", mdl.init_model([16, 256, 64, 2], seed=6))
-    for h, w in ((64, 64), (113, 145), (384, 384)):
+    for head, kind in mdl.HEADS.items():
+        net = mdl.init_model([16, 256, 64, kind.width], seed=6, head=head)
+        mdl.save_model(tmp_path / f"model_{kind.tag}.ulre", net)
+    for h, w in ((64, 64), (113, 145), (384, 384), (27, 607)):
         write_tensor_file(
             tmp_path / f"map_{h}x{w}.ulre", {"features": rng.normal(size=(h, w, 16))}
         )
@@ -239,7 +244,7 @@ def test_evidential_score_bytes_do_not_depend_on_blas_threads(tmp_path):
         _in_child(f"test_golden.score_maps('t{n}')", tmp_path, blas_threads=n)
         for n in (1, 2)
     )
-    assert len(one) == 3
+    assert len(one) == 8
     assert one == two
 
 

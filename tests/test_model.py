@@ -1,12 +1,10 @@
 """Estimator network: init, forward, backprop, Adam, training, inference."""
 
 import os
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ def make_blobs(n=600, separation=10.0, seed=0):
 
 def reference_forward_rows(model, x):
     """Logits of all rows of x in one pass, one layer's activations at a
-    time: the forward pass before it was cut into parts and blocks."""
+    time."""
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -39,20 +37,12 @@ def reference_forward_rows(model, x):
     return h
 
 
-def reference_forward_parts(model, x):
-    """Logits of x one part at a time, each part in one pass: the forward
-    pass before its hidden layers were cut into blocks."""
-    bounds = mdl._cuts(x.shape[0], mdl._FORWARD_ROWS)
+def reference_forward_blocks(model, x):
+    """Logits of x one `forward` block at a time, each block in one pass."""
+    bounds = mdl._cuts(x.shape[0], mdl._BLOCK_ROWS)
     return np.concatenate(
         [reference_forward_rows(model, x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     )
-
-
-def assert_split_forward_matches_single_pass(dims, head, rows_list):
-    for rows in rows_list:
-        m = mdl.init_model(dims, seed=12, head=head)
-        x = np.random.default_rng(13).normal(size=(rows, dims[0]))
-        np.testing.assert_array_equal(mdl.forward(m, x), reference_forward_rows(m, x))
 
 
 class TestInit:
@@ -132,15 +122,11 @@ class TestForward:
         with pytest.raises(ValueError):
             mdl.forward(m, np.zeros((3, 5)))
 
-    # Blocks of the hidden layers and parts of the last layer must give the
-    # bits of one pass over all rows. The sigmoid head's one-column last
-    # layer computes the rows past the last multiple of 4 with another
-    # kernel, so part boundaries must be aligned. On more than one OpenBLAS
-    # thread the split of the rows between threads changes those bits too,
-    # in the single pass and in the parts alike (README), so such row counts
-    # are compared on one thread, in a child process. Each net's last layer
-    # reads 64 or more units: narrower 2-column products switch kernels with
-    # the row count (README), so their parts need not match one pass.
+    # `forward` must give the bits of one pass over each of its blocks, for
+    # every net and row count: running every layer block by block, in
+    # runs on several workers, moves no bit of a block. Narrow layers
+    # (16-12-2, 64-4-1) and one-column last layers are among the nets,
+    # because their products change kernels with the row count (README).
     @pytest.mark.parametrize(
         "dims,head,extra_rows",
         [
@@ -150,57 +136,17 @@ class TestForward:
             ([64, 1], "sigmoid", 128),
             ([16, 64, 2], "evidential", 100),
             ([8, 64, 32, 64, 2], "evidential", 100),
+            ([16, 12, 2], "evidential", 100),
+            ([64, 4, 1], "sigmoid", 128),
         ],
     )
     def test_split_forward_matches_single_pass(self, dims, head, extra_rows):
-        part = mdl._FORWARD_ROWS
-        rows_list = [1, 63, 64, 65, 255, 257, 4_097, part, part + 1,
-                     2 * part + extra_rows, 3 * part + 64]
-        ragged = [rows for rows in rows_list if head == "sigmoid" and rows % 4]
-        assert_split_forward_matches_single_pass(
-            dims, head, [rows for rows in rows_list if rows not in ragged]
-        )
-        if ragged:
-            self._check_on_one_blas_thread(dims, head, ragged)
-
-    # A hidden layer 2, 3, 4 or 12 units wide with enough inputs takes
-    # another OpenBLAS kernel on a 256-row block than on a whole part
-    # (README), so these nets' logits move against the per-part pass of the
-    # code before blocks. With OpenBLAS 0.3.31's Haswell kernels, 74% of the
-    # rows of 16-12-2 move by up to 1.8e-15 and 82% of those of 64-4-1 by
-    # up to 4.4e-15. A part of at most 256 rows is one block, so it cannot
-    # move.
-    @pytest.mark.parametrize(
-        "dims,head", [([16, 12, 2], "evidential"), ([64, 4, 1], "sigmoid")]
-    )
-    def test_narrow_hidden_layer_moves_logits_by_rounding_only(self, dims, head):
         m = mdl.init_model(dims, seed=12, head=head)
-        for rows in (64, 256, 4_097, 16_385, 40_000):
+        for rows in (0, 1, 63, 64, 65, 255, 257, 4_097, 16_384, 16_385,
+                     32_768 + extra_rows, 49_216):
             x = np.random.default_rng(13).normal(size=(rows, dims[0]))
-            got, want = mdl.forward(m, x), reference_forward_parts(m, x)
-            if rows <= mdl._BLOCK_ROWS:
-                np.testing.assert_array_equal(got, want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-
-    @staticmethod
-    def _check_on_one_blas_thread(dims, head, rows_list):
-        path = [str(Path(mdl.__file__).parents[1]), str(Path(__file__).parent)]
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": "1",
-            "OMP_NUM_THREADS": "1",
-            "PYTHONPATH": os.pathsep.join(path),
-        }
-        code = (
-            "from test_model import assert_split_forward_matches_single_pass as check;"
-            f"check({dims!r}, {head!r}, {rows_list!r})"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+            want = reference_forward_blocks(m, x)
+            np.testing.assert_array_equal(mdl.forward(m, x), want)
 
     @pytest.mark.parametrize("slope", [0.01, 1.0])
     def test_activation_kernels_match_where_forms(self, slope):
@@ -210,15 +156,16 @@ class TestForward:
              3 * tiny, -3 * tiny, 1e-310, -1e-310, 1.5, -2.5, 1e308, -1e308]
         )
         # one hidden unit whose pre-activation is z: x @ [[1]] + (-0.0)
-        # keeps every value, though the matmul turns -0.0 into 0.0
+        # keeps every value, though the matmul turns -0.0 into 0.0; the
+        # last layer copies it, so that no product overflows
         m = mdl.init_model([1, 1, 2], seed=0, slope=slope)
-        m.weights[0][...] = 1.0
+        m.weights[0][...] = m.weights[1][...] = 1.0
         m.biases[0][...] = -0.0
         x = z[:, None]
         pre = x @ m.weights[0] + m.biases[0]
         assert np.array_equal(pre, x, equal_nan=True)
-        h = np.empty_like(x)
-        mdl._hidden_rows(m, x, [0, len(z)], [], np.empty(len(z)), h)
+        h, logits = np.empty_like(x), np.empty((len(z), 2))
+        mdl._logit_rows(m, x, [0, len(z)], [h], np.empty(len(z)), logits)
         act = np.maximum(z, slope * z)
         grad = np.where(z > 0.0, 1.0, slope)
         for got, want in (
@@ -233,7 +180,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class TestForwardWorkers:
-    """`forward` shares each part's hidden-layer blocks between threads."""
+    """`forward` shares its blocks between threads."""
 
     @pytest.mark.parametrize(
         "env,want",
@@ -265,15 +212,14 @@ class TestForwardWorkers:
 
     def test_more_workers_than_cores_give_the_bits_of_one(self, monkeypatch):
         threads = set()
-        hidden_rows = mdl._hidden_rows
+        logit_rows = mdl._logit_rows
 
         def recorded(*args):
             threads.add(threading.get_ident())
-            hidden_rows(*args)
+            logit_rows(*args)
 
-        monkeypatch.setattr(mdl, "_hidden_rows", recorded)
+        monkeypatch.setattr(mdl, "_logit_rows", recorded)
         many = (os.cpu_count() or 1) + 2
-        part = mdl._FORWARD_ROWS
         interval = sys.getswitchinterval()
         start = time.perf_counter()
         sys.setswitchinterval(1e-6)
@@ -283,7 +229,7 @@ class TestForwardWorkers:
                 ([16, 256, 64, 1], "sigmoid"),
             ):
                 m = mdl.init_model(dims, seed=14, head=head)
-                for rows in (1, 257, 4_097, part + 1, 3 * part + 64):
+                for rows in (1, 257, 4_097, 16_385, 49_216):
                     x = np.random.default_rng(rows).normal(size=(rows, dims[0]))
                     monkeypatch.setattr(mdl, "_workers", lambda: 1)
                     want = mdl.forward(m, x)
@@ -296,15 +242,15 @@ class TestForwardWorkers:
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_exception_propagates_and_threads_end(self, monkeypatch, failing):
-        hidden_rows = mdl._hidden_rows
+        logit_rows = mdl._logit_rows
         caller = threading.get_ident()
 
         def fail_on_one_thread(*args):
             if (threading.get_ident() == caller) == (failing == "caller"):
                 raise RuntimeError(f"{failing} failed")
-            hidden_rows(*args)
+            logit_rows(*args)
 
-        monkeypatch.setattr(mdl, "_hidden_rows", fail_on_one_thread)
+        monkeypatch.setattr(mdl, "_logit_rows", fail_on_one_thread)
         monkeypatch.setattr(mdl, "_workers", lambda: 3)
         m = mdl.init_model([16, 256, 64, 2], seed=15)
         before = threading.active_count()
@@ -646,9 +592,11 @@ class TestPredictMap:
             mdl.predict_map(m, np.zeros((4, 4, 5)))
 
     def test_peak_memory_is_bounded(self):
-        # 16,384-row parts of 256-row blocks hold one part's 64-wide last
-        # hidden activation (8 MiB); one pass over all 65,536 rows peaks near
-        # 400 MiB, and whole-part hidden layers near 42 MiB
+        # `forward` holds 256-row blocks of every hidden layer, 1.1 MiB per
+        # worker, besides the 1 MiB of logits; the head's output takes two
+        # more arrays of the logits' size. The peak read 3.0 MiB on one
+        # worker and 4.0 MiB on two (10.1 and 11.7 MiB with a 16,384-row
+        # last hidden activation, near 400 MiB in one pass over all rows).
         m = mdl.init_model([16, 256, 64, 2], seed=33)
         fmap = np.random.default_rng(34).normal(size=(256, 256, 16))
         tracemalloc.start()
@@ -657,7 +605,7 @@ class TestPredictMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 6 * 2**20
 
 
 class TestCheckpointIo:
