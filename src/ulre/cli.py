@@ -313,9 +313,9 @@ def _records(path, records=None, **ranks) -> list[np.ndarray]:
     """The named records of one tensor file, in the order given; each must
     exist, have the rank given for it, if any (None: any rank), and hold
     only finite values. `records` is the file's contents when the caller
-    has read it already."""
+    has read it already; otherwise only the named records are read."""
     if records is None:
-        records = read_tensor_file(path)
+        records = read_tensor_file(path, ranks)
     found = []
     for name, ndim in ranks.items():
         if name not in records:
@@ -362,7 +362,7 @@ def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
 
     edl, bce = mdl.HEADS["evidential"], mdl.HEADS["sigmoid"]
     alpha = edl.output(logits["evidential"])
-    p_edl = edl.prob(logits["evidential"])
+    p_edl = ev.expected_prob(alpha)[:, 1]
     vac = ev.vacuity(alpha)
     lr_edl = edl.score(alpha)
     p_bce = bce.prob(logits["sigmoid"])
@@ -404,9 +404,10 @@ def _load_pixel_rows(feature_paths, label_paths):
     xs, ys = [], []
     dim = None
     for fpath, lpath in zip(feature_paths, label_paths):
-        records = read_tensor_file(fpath)
-        [fm] = _records(fpath, records, features=3)
         # a scene file named as both features and labels is read once
+        names = ("features", "labels") if lpath == fpath else ("features",)
+        records = read_tensor_file(fpath, names)
+        [fm] = _records(fpath, records, features=3)
         positive = _positives(lpath, fm.shape[:2], records if lpath == fpath else None)
         if dim is None:
             dim = fm.shape[2]
@@ -452,34 +453,29 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
     label_paths = resolved["labels"]
     if len(score_paths) != len(label_paths):
         raise DataError("eval: scores and labels lists differ in length")
-    parts, positives, file_pos = [], [], []
+    # each file keeps its positive and its sorted negative scores only; the
+    # pooled metrics sum the files' counts, so no pooled array is made
+    parts = []
     for spath, lpath in zip(score_paths, label_paths):
         [s] = _records(spath, scores=2)
-        parts.append(s.ravel())
-        positives.append(_positives(lpath, s.shape).ravel())
-        file_pos.append(int(np.count_nonzero(positives[-1])))
-    # pool every file into one score and one label array and drop the
-    # per-file arrays; each file's entries are then a slice of the pool
-    scores = np.concatenate(parts, dtype=np.float64)
-    labels = np.concatenate(positives)
-    bounds = np.cumsum([0, *map(len, parts)]).tolist()
-    del parts, positives
-    n_px, n_pos = len(scores), sum(file_pos)
+        positive = _positives(lpath, s.shape)
+        neg = s[~positive]
+        neg.sort()
+        parts.append((s[positive], neg))
+        del s, positive
     try:
-        ap, fpr95 = metrics.ap_and_fpr95(scores, labels)
-        payload = {"ap": ap, "fpr95": fpr95, "n_pos": n_pos, "n_neg": n_px - n_pos}
+        ap, fpr95 = metrics.pooled_ap_and_fpr95(parts)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    n_pos = sum(len(p) for p, _ in parts)
+    n_neg = sum(len(neg) for _, neg in parts)
+    payload = {"ap": ap, "fpr95": fpr95, "n_pos": n_pos, "n_neg": n_neg}
     if len(score_paths) > 1:
         breakdown = []
-        for spath, start, stop, pos in zip(
-            score_paths, bounds[:-1], bounds[1:], file_pos
-        ):
+        for spath, (p, neg) in zip(score_paths, parts):
             entry = {"scores_file": str(spath)}
-            if 0 < pos < stop - start:
-                entry["ap"], entry["fpr95"] = metrics.ap_and_fpr95(
-                    scores[start:stop], labels[start:stop]
-                )
+            if len(p) and len(neg):
+                entry["ap"], entry["fpr95"] = metrics.pooled_ap_and_fpr95([(p, neg)])
             breakdown.append(entry)
         payload["per_file"] = breakdown
     _write_json(out_dir / "metrics.json", payload)

@@ -118,17 +118,25 @@ class _Reader:
         self._advance(n, len(out), what)
         return out
 
+    def skip(self, n: int) -> None:
+        """Move past the next n bytes, which the caller has checked."""
+        self.fh.seek(n, os.SEEK_CUR)
+        self.pos += n
+
     def fill(self, arr: np.ndarray, what: str) -> None:
         """Read the next arr.nbytes bytes of the file into arr's buffer; the
         caller checks them against the file's size before allocating arr."""
         self._advance(arr.nbytes, self.fh.readinto(arr.reshape(-1).view(np.uint8)), what)
 
 
-def read_tensor_file(path) -> dict[str, np.ndarray]:
+def read_tensor_file(path, names=None) -> dict[str, np.ndarray]:
     """Read a container written by write_tensor_file, preserving order.
 
     Each payload is read straight into its record's array, so a read holds
-    one copy of the payload, never the file's bytes beside it.
+    one copy of the payload, never the file's bytes beside it. Given
+    `names`, only those records are returned and the other payloads are
+    skipped; every header is still checked, so a file that a full read
+    rejects is rejected with the same error.
     """
     with open(path, "rb") as fh:
         r = _Reader(path, fh)
@@ -138,6 +146,7 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
         if version != TENSOR_FORMAT_VERSION:
             raise TensorFileError(f"{path}: unsupported format version {version}")
         records: dict[str, np.ndarray] = {}
+        seen = set()
         for i in range(count):
             where = f"record {i} header"
             (name_len,) = struct.unpack("<H", r.take(2, where))
@@ -155,14 +164,19 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
                 n_elem *= d
             what = f"record {name!r} payload"
             r.check(n_elem * dtype.itemsize, what)
-            if name in records:
+            if name in seen:
                 raise TensorFileError(f"{path}: duplicate record name {name!r}")
-            try:
-                arr = np.empty(dims, dtype=dtype)
+            seen.add(name)
+            try:  # a zero-byte view checks the dims, of a skipped record too
+                arr = np.broadcast_to(np.empty((), dtype=dtype), dims)
             except ValueError as exc:  # more dims, or more bytes, than numpy can hold
                 raise TensorFileError(f"{path}: record {name!r}: {exc}") from exc
-            r.fill(arr, what)
-            records[name] = arr
+            if names is None or name in names:
+                arr = np.empty(dims, dtype=dtype)
+                r.fill(arr, what)
+                records[name] = arr
+            else:
+                r.skip(arr.nbytes)
         if r.pos != r.size:
             raise TensorFileError(
                 f"{path}: {r.size - r.pos} trailing bytes after last record"

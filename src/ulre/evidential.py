@@ -40,17 +40,20 @@ LOGIT_CLAMP = 30.0  # exp(30) ~ 1.07e13: evidence stays finite, range untouched
 PROB_EPS = 1e-12  # probability clamp for the sigmoid/odds path
 
 
-def evidence_from_logits(o) -> np.ndarray:
-    """Per-class evidence exp(o) with logits clamped to +-LOGIT_CLAMP."""
+def evidence_from_logits(o, out=None) -> np.ndarray:
+    """Per-class evidence exp(o) with logits clamped to +-LOGIT_CLAMP, in a
+    new array, or in `out` (which may be `o` itself) when given."""
     o = np.asarray(o, dtype=np.float64)
     if np.isnan(o).any():
         raise ValueError("evidence_from_logits: logits contain NaN")
-    return np.exp(np.clip(o, -LOGIT_CLAMP, LOGIT_CLAMP))
+    e = np.clip(o, -LOGIT_CLAMP, LOGIT_CLAMP, out=out)
+    return np.exp(e, out=e)
 
 
-def dirichlet_from_evidence(e) -> np.ndarray:
-    """Concentration parameters alpha = evidence + 1 (non-degenerate)."""
-    return np.asarray(e, dtype=np.float64) + 1.0
+def dirichlet_from_evidence(e, out=None) -> np.ndarray:
+    """Concentration parameters alpha = evidence + 1 (non-degenerate), in a
+    new array, or in `out` (which may be `e` itself) when given."""
+    return np.add(np.asarray(e, dtype=np.float64), 1.0, out=out)
 
 
 def strength(alpha) -> np.ndarray:

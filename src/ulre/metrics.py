@@ -17,6 +17,7 @@ __all__ = [
     "BinnedAnalysis",
     "postprocess_scores",
     "ap_and_fpr95",
+    "pooled_ap_and_fpr95",
     "extrapolation_analysis",
     "binned_csv",
 ]
@@ -36,7 +37,7 @@ def postprocess_scores(raw, out_h: int, out_w: int, sigma: float = 1.0) -> np.nd
 
 
 def _validate_scores_labels(scores, labels):
-    """Flat float64 scores, the positive-label mask and the class counts.
+    """Flat float64 scores and the positive-label mask.
 
     A boolean label array is binary by its type, so only other label arrays
     are compared with 0.
@@ -48,13 +49,9 @@ def _validate_scores_labels(scores, labels):
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     pos = y if y.dtype == bool else y == 1
-    n_pos = int(np.count_nonzero(pos))
-    n_neg = len(y) - n_pos
-    if pos is not y and np.count_nonzero(y == 0) != n_neg:
+    if pos is not y and np.count_nonzero(y == 0) + np.count_nonzero(pos) != len(y):
         raise ValueError("labels must be 0 or 1")
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("need at least one positive and one negative label")
-    return s, pos, n_pos, n_neg
+    return s, pos
 
 
 def ap_and_fpr95(scores, labels, tpr_target: float = 0.95) -> tuple[float, float]:
@@ -67,15 +64,27 @@ def ap_and_fpr95(scores, labels, tpr_target: float = 0.95) -> tuple[float, float
     rounded sum of its terms. A threshold at the minimum score reaches
     TPR = 1, so the FPR operating set is never empty.
     """
-    s, pos, n_pos, n_neg = _validate_scores_labels(scores, labels)
+    s, pos = _validate_scores_labels(scores, labels)
+    neg = s[~pos]
+    neg.sort()
+    return pooled_ap_and_fpr95([(s[pos], neg)], tpr_target)
+
+
+def pooled_ap_and_fpr95(parts, tpr_target: float = 0.95) -> tuple[float, float]:
+    """`ap_and_fpr95` of the scores of several parts pooled, each part given
+    as (its positive scores, its negative scores sorted ascending).
+
+    The number of negatives at or above a threshold is the sum of each
+    part's count, so no pooled negative array is made.
+    """
     # recall changes only at a positive's score, so any other threshold adds
     # a zero AP term and has no fewer false positives than the next positive
     # score above it: the distinct positive scores are the only thresholds
-    v, hits = np.unique(s[pos], return_counts=True)
-    neg = s[~pos]
-    neg.sort()
-    fp = n_neg - np.searchsorted(neg, v[::-1], "left")
-    del neg
+    v, hits = np.unique(np.concatenate([p for p, _ in parts]), return_counts=True)
+    n_pos, n_neg = int(hits.sum()), sum(len(neg) for _, neg in parts)
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("need at least one positive and one negative label")
+    fp = n_neg - sum(np.searchsorted(neg, v[::-1], "left") for _, neg in parts)
     tp = np.cumsum(hits[::-1])
     recall = tp / n_pos
     precision = tp / (tp + fp)

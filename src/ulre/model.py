@@ -51,13 +51,15 @@ class TrainingDivergedError(RuntimeError):
 
 
 class _EvidentialHead:
-    """The method: two logits of evidence; the output is alpha = evidence + 1."""
+    """The method: two logits of evidence; the output is alpha = evidence + 1,
+    computed in the logits' own array."""
 
     width = 2
     tag = "edl"
 
     def output(self, logits):
-        return ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
+        e = ev.evidence_from_logits(logits, out=logits)
+        return ev.dirichlet_from_evidence(e, out=e)
 
     def score(self, output):
         return ev.lr_score(output)
@@ -102,9 +104,10 @@ class _SigmoidHead:
 # All that depends on the head kind, keyed by an Estimator's `head`. `tag`
 # names the kind in extrapolate's config keys and file names; `output` is
 # predict_map's per-row result, `score` its likelihood ratio, `prob` P(OOD)
-# per row; `loss_and_grad` gives the mean loss and the logit gradient. Heads
-# look `ev` functions up when they run, so that a tracer which replaces them
-# sees every call.
+# per row; `loss_and_grad` gives the mean loss and the logit gradient.
+# `output`, `prob` and `fit_loss` may overwrite the logits they are given.
+# Heads look `ev` functions up when they run, so that a tracer which replaces
+# them sees every call.
 HEADS = {"evidential": _EvidentialHead(), "sigmoid": _SigmoidHead()}
 
 

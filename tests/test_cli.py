@@ -547,9 +547,9 @@ class TestTrainScoreEval:
     def test_train_reads_each_file_once(self, tmp_path, scenes, monkeypatch):
         reads = []
 
-        def counting_read(path):
+        def counting_read(path, names=None):
             reads.append(str(path))
-            return read_tensor_file(path)
+            return read_tensor_file(path, names)
 
         monkeypatch.setattr(cli, "read_tensor_file", counting_read)
         names = [f"{scenes}/scene_000.ulre", f"{scenes}/scene_001.ulre"]
@@ -702,6 +702,83 @@ class TestTrainScoreEval:
         assert hashlib.sha256(blob).hexdigest() == (
             "dec21e1150b3e4f6b18d508c38d85ef0f0ea8c530d4272bfa04055e1443de074"
         )
+
+    @staticmethod
+    def _eval_config(tmp_path, scores, labels) -> dict:
+        """An `eval` config over one score and one label file per array pair."""
+        spaths, lpaths = [], []
+        for i, (s, lab) in enumerate(zip(scores, labels)):
+            spaths.append(str(tmp_path / f"s{i}.ulre"))
+            lpaths.append(str(tmp_path / f"l{i}.ulre"))
+            write_tensor_file(spaths[-1], {"scores": s})
+            write_tensor_file(lpaths[-1], {"labels": lab})
+        return cli.resolve_config("eval", {"scores": ",".join(spaths), "labels": ",".join(lpaths)})
+
+    def _eval(self, tmp_path, scores, labels, sub="out") -> dict:
+        cli.run_command("eval", self._eval_config(tmp_path, scores, labels), tmp_path / sub)
+        return json.loads((tmp_path / sub / "metrics.json").read_text())
+
+    def test_eval_file_by_file_equals_one_pooled_array(self, tmp_path):
+        # eighth-step scores tie across files; file 1 has no positives and
+        # file 2 no negatives, so neither gets per-file metrics
+        from ulre.metrics import ap_and_fpr95
+
+        rng = np.random.default_rng(23)
+        scores, labels = [], []
+        for i, shape in enumerate([(9, 11), (6, 5), (4, 4), (13, 7)]):
+            lab = (rng.random(shape) < 0.35).astype(np.uint8)
+            if i == 1:
+                lab[:] = 0
+            elif i == 2:
+                lab[:] = 1
+            scores.append(rng.integers(1, 24, shape) / 8.0 + lab * rng.integers(0, 8, shape) / 8.0)
+            labels.append(lab)
+        assert np.intersect1d(scores[2], scores[1]).size  # positives tie negatives elsewhere
+        payload = self._eval(tmp_path, scores, labels)
+        pooled = np.concatenate([s.ravel() for s in scores])
+        pooled_labels = np.concatenate([lab.ravel() for lab in labels])
+        assert (payload["ap"], payload["fpr95"]) == ap_and_fpr95(pooled, pooled_labels)
+        assert (payload["n_pos"], payload["n_neg"]) == (
+            int(pooled_labels.sum()), int((pooled_labels == 0).sum())
+        )
+        for i, entry in enumerate(payload["per_file"]):
+            if i in (1, 2):
+                assert entry == {"scores_file": str(tmp_path / f"s{i}.ulre")}
+            else:
+                assert (entry["ap"], entry["fpr95"]) == ap_and_fpr95(scores[i], labels[i])
+        # one file: no breakdown, the same metrics as the file alone
+        single = self._eval(tmp_path, scores[:1], labels[:1], "one")
+        assert "per_file" not in single
+        assert (single["ap"], single["fpr95"]) == ap_and_fpr95(scores[0], labels[0])
+
+    def test_eval_pool_without_positives_exits_3(self, tmp_path, capsys):
+        for i in range(2):
+            write_tensor_file(tmp_path / f"s{i}.ulre", {"scores": np.arange(6.0).reshape(2, 3)})
+            write_tensor_file(tmp_path / f"l{i}.ulre", {"labels": np.zeros((2, 3), np.uint8)})
+        config = write_config(
+            tmp_path / "eval.cfg",
+            scores=f"{tmp_path / 's0.ulre'},{tmp_path / 's1.ulre'}",
+            labels=f"{tmp_path / 'l0.ulre'},{tmp_path / 'l1.ulre'}",
+        )
+        assert cli.main(["eval", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "data error: need at least one positive and one negative label\n"
+        )
+
+    def test_eval_peak_memory(self, tmp_path):
+        # each file keeps its positive and its sorted negative scores only;
+        # 2.59x the pooled score bytes with a pooled copy beside the files
+        rng = np.random.default_rng(24)
+        scores = [rng.random((512, 512)) for _ in range(3)]
+        labels = [(rng.random((512, 512)) < 0.01).astype(np.uint8) for _ in range(3)]
+        cfg = self._eval_config(tmp_path, scores, labels)
+        tracemalloc.start()
+        try:
+            cli.run_command("eval", cfg, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * sum(s.nbytes for s in scores)
 
     def test_eval_names_the_non_binary_label_file(self, tmp_path):
         write_tensor_file(tmp_path / "s.ulre", {"scores": np.ones((2, 3))})

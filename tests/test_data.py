@@ -94,6 +94,47 @@ class TestTensorFile:
         assert back["features"].flags.aligned and back["features"].flags.writeable
         assert back["ids"].tolist() == list(range(7))
 
+    def test_names_read_only_those_records(self, tmp_path):
+        # the other payloads are skipped: a scene's labels without its features
+        feats = np.random.default_rng(4).normal(size=(256, 256, 16))  # 8 MiB
+        labels = np.random.default_rng(5).integers(0, 2, (256, 256)).astype(np.uint8)
+        path = tmp_path / "scene.ulre"
+        write_tensor_file(path, {"features": feats, "labels": labels, "ids": labels})
+        tracemalloc.start()
+        try:
+            back = read_tensor_file(path, ["labels"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(back) == ["labels"]
+        assert back["labels"].tobytes() == labels.tobytes()
+        assert peak < 2 * labels.nbytes
+        assert read_tensor_file(path, ["ids", "absent"]).keys() == {"ids"}
+        assert read_tensor_file(path, []) == {}
+
+    @pytest.mark.parametrize(
+        "fault,match",
+        [
+            ("truncated", "truncated while reading record 'labelz' payload"),
+            ("trailing", "3 trailing bytes"),
+            ("duplicate", "duplicate record name 'labels'"),
+        ],
+    )
+    def test_skipped_records_are_checked(self, tmp_path, fault, match):
+        path = tmp_path / "scene.ulre"
+        write_tensor_file(path, {"labels": np.ones(3), "labelz": np.zeros((4, 2))})
+        blob = path.read_bytes()
+        if fault == "truncated":
+            blob = blob[:-8]
+        elif fault == "trailing":
+            blob += b"abc"
+        else:
+            blob = blob.replace(b"labelz", b"labels")
+        path.write_bytes(blob)
+        for names in (None, ["labels"], []):
+            with pytest.raises(TensorFileError, match=match):
+                read_tensor_file(path, names)
+
     def test_write_adds_no_copy(self, tmp_path):
         payload = np.random.default_rng(2).normal(size=(2048, 1024))  # 16 MiB
         path = tmp_path / "big.ulre"

@@ -46,6 +46,22 @@ class TestEvidence:
         with pytest.raises(ValueError):
             ev.evidence_from_logits([np.nan, 0.0])
 
+    def test_inputs_are_left_unwritten(self):
+        o = np.array([[45.0, -0.5], [np.log(2.0), -45.0]])
+        before = o.copy()
+        e = ev.evidence_from_logits(o)
+        alpha = ev.dirichlet_from_evidence(e)
+        assert o.tobytes() == before.tobytes()
+        np.testing.assert_array_equal(alpha, e + 1.0)
+        assert not np.shares_memory(e, o) and not np.shares_memory(alpha, e)
+
+    def test_out_gives_the_same_bits(self):
+        o = np.random.default_rng(8).normal(scale=20.0, size=(64, 2))
+        want = np.exp(np.clip(o, -ev.LOGIT_CLAMP, ev.LOGIT_CLAMP)) + 1.0
+        e = ev.evidence_from_logits(o, out=o)
+        alpha = ev.dirichlet_from_evidence(e, out=e)
+        assert alpha is o and alpha.tobytes() == want.tobytes()
+
     def test_dirichlet_from_evidence(self):
         np.testing.assert_array_equal(
             ev.dirichlet_from_evidence([1.0, 1.0]), [2.0, 2.0]

@@ -593,10 +593,10 @@ class TestPredictMap:
 
     def test_peak_memory_is_bounded(self):
         # `forward` holds 256-row blocks of every hidden layer, 1.1 MiB per
-        # worker, besides the 1 MiB of logits; the head's output takes two
-        # more arrays of the logits' size. The peak read 3.0 MiB on one
-        # worker and 4.0 MiB on two (10.1 and 11.7 MiB with a 16,384-row
-        # last hidden activation, near 400 MiB in one pass over all rows).
+        # worker, besides the 1 MiB of logits, in which the head computes its
+        # output. The peak read 3.0 MiB on one worker and 4.0 MiB on two
+        # (10.1 and 11.7 MiB with a 16,384-row last hidden activation, near
+        # 400 MiB in one pass over all rows).
         m = mdl.init_model([16, 256, 64, 2], seed=33)
         fmap = np.random.default_rng(34).normal(size=(256, 256, 16))
         tracemalloc.start()
@@ -606,6 +606,24 @@ class TestPredictMap:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    def test_evidential_output_is_computed_in_the_logits(self):
+        # on a narrow net the logits set the peak: the head clips,
+        # exponentiates and adds 1 in their array (3.1x their size when each
+        # step made an array of its own)
+        m = mdl.init_model([2, 4, 2], seed=35)
+        fmap = np.random.default_rng(36).normal(scale=30.0, size=(512, 512, 2))
+        logits = mdl.forward(m, fmap.reshape(-1, 2))
+        want = np.exp(np.clip(logits, -ev.LOGIT_CLAMP, ev.LOGIT_CLAMP)) + 1.0
+        tracemalloc.start()
+        try:
+            alpha = mdl.predict_map(m, fmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alpha.shape == (512, 512, 2)
+        assert alpha.tobytes() == want.tobytes()
+        assert peak < 2 * logits.nbytes
 
 
 class TestCheckpointIo:

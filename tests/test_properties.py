@@ -92,12 +92,23 @@ def test_read_tensor_file_returns_records_or_raises_tensor_file_error(
 ):
     path = tmp_path / "x.ulre"
     path.write_bytes(data.draw(corruptions(valid[kind])))
+    # a read of some of the names returns those records of a full read, or
+    # raises the same error
+    names = data.draw(st.sets(st.sampled_from(["features", "labels", "empty", "header", "w0"])))
     try:
         records = read_tensor_file(path)
     except TensorFileError as exc:
         assert str(exc).startswith(f"{path}: ")
+        with pytest.raises(TensorFileError) as subset_exc:
+            read_tensor_file(path, names)
+        assert str(subset_exc.value) == str(exc)
     else:
         assert all(isinstance(a, np.ndarray) for a in records.values())
+        subset = read_tensor_file(path, names)
+        assert list(subset) == [name for name in records if name in names]
+        for name, arr in subset.items():
+            assert arr.dtype == records[name].dtype and arr.shape == records[name].shape
+            assert arr.tobytes() == records[name].tobytes()
 
 
 @PROPERTY
