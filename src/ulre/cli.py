@@ -178,7 +178,7 @@ def resolve_config(command: str, raw: dict[str, str], seed_override=None) -> dic
         raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
     resolved = {}
     for key, (conv, default) in schema.items():
-        if key in raw:
+        if key in raw and (raw[key] or default is not REQUIRED):  # empty: missing
             try:
                 resolved[key] = conv(raw[key])
             except ValueError as exc:
@@ -227,6 +227,10 @@ _RULES = {
         f"> 0 and >= (grid_hi - grid_lo) / {_MOST_STEPS:,}",
     ),
     "grid_hi": (lambda v, cfg: v > cfg["grid_lo"], "> grid_lo"),
+    "grid_lo": (  # the summary fits ln LR over the grid points in [-2, 2]
+        lambda v, cfg: np.count_nonzero(_toy_grid(cfg)[1]) >= 2,
+        "such that at least two grid points lie in [-2, 2]",
+    ),
     "sigma": _POSITIVE,
     "out_height": _AT_LEAST_0,  # 0 keeps the input's size
     "out_width": _AT_LEAST_0,
@@ -340,14 +344,19 @@ def _positives(path, shape, records=None) -> np.ndarray:
     return positive
 
 
+def _toy_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """toy-gaussian's evaluation grid, and the mask of its points in [-2, 2]."""
+    lo, hi, step = cfg["grid_lo"], cfg["grid_hi"], cfg["grid_step"]
+    x = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    return x, np.abs(x) <= 2.0
+
+
 def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
     seed = resolved["seed"]
     features, labels = gen_gaussian_1d(
         resolved["n_per_class"], resolved["mu0"], resolved["mu1"], seed
     )
-    lo, hi, step = resolved["grid_lo"], resolved["grid_hi"], resolved["grid_step"]
-    n_grid = int(round((hi - lo) / step)) + 1
-    x = np.linspace(lo, hi, n_grid)
+    x, center = _toy_grid(resolved)
     fit = {f.name: resolved[f.name] for f in _TRAIN_FIELDS if f.name in resolved}
     fit["early_stopping"] = True
     logits, reports = {}, {}
@@ -370,7 +379,7 @@ def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
     entropy = ev.binary_entropy(p_bce)
 
     lines = ["x,p_edl,vacuity,p_bce,entropy_bce,lr_edl,lr_true"]
-    for i in range(n_grid):
+    for i in range(len(x)):
         lines.append(
             f"{x[i]:.10g},{p_edl[i]:.10g},{vac[i]:.10g},{p_bce[i]:.10g},"
             f"{entropy[i]:.10g},{lr_edl[i]:.10g},{lr_true[i]:.10g}"
@@ -378,7 +387,6 @@ def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
     (out_dir / "toy_grid.csv").write_text("\n".join(lines) + "\n", "utf-8")
 
     i0 = int(np.argmin(np.abs(x)))
-    center = np.abs(x) <= 2.0
     slope = float(np.polyfit(x[center], np.log(lr_edl[center]), 1)[0])
     summary = {
         "p_edl_at_0": float(p_edl[i0]),
@@ -632,14 +640,16 @@ def main(argv=None) -> int:
         raw = load_config(args.config) if args.config else {}
         resolved = resolve_config(args.command, raw, seed_override=args.seed)
         _require_files(resolved, _COMMANDS[args.command][1])
-        run_command(args.command, resolved, args.out)
+        # a float overflow, division by zero or invalid operation: exit 4
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            run_command(args.command, resolved, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (TrainingDivergedError, FloatingPointError) as exc:
+    except (TrainingDivergedError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkernel import digamma, lgamma
-
 __all__ = [
     "LOGIT_CLAMP",
     "PROB_EPS",
@@ -27,9 +25,7 @@ __all__ = [
     "lambda_schedule",
     "edl_log_loss",
     "edl_kl_reg",
-    "dirichlet_kl_to_uniform",
     "edl_loss_and_grad",
-    "edl_loss_grad",
     "sigmoid",
     "bce_loss_from_logit",
     "bce_grad_from_logit",
@@ -108,18 +104,6 @@ def edl_log_loss(alpha, y) -> np.ndarray:
     return (y * (np.log(s) - np.log(alpha))).sum(axis=-1)
 
 
-def dirichlet_kl_to_uniform(alpha_tilde) -> np.ndarray:
-    """Closed-form KL(Dir(a) || Dir(1,1)); log Gamma(K) = 0 for K = 2.
-
-    Within 1e-9 of 50-digit mpmath while every concentration is at most 1e5;
-    above that its lgamma terms cancel (Beta(1, b): 5e-7 off at b = 1e8)."""
-    alpha_tilde = np.asarray(alpha_tilde, dtype=np.float64)
-    s = alpha_tilde.sum(axis=-1, keepdims=True)
-    term = (alpha_tilde - 1.0) * (digamma(alpha_tilde) - digamma(s))
-    head = np.asarray(lgamma(s))[..., 0]
-    return head - np.asarray(lgamma(alpha_tilde)).sum(axis=-1) + term.sum(axis=-1)
-
-
 def edl_kl_reg(alpha, y) -> np.ndarray:
     """Evidence regularizer: KL to uniform after removing correct evidence.
 
@@ -162,18 +146,6 @@ def edl_loss_and_grad(o, y, epoch: int):
     dkl = (1.0 - y) * ((b - 1.0) / (b * b))
     passthrough = (np.abs(o) <= LOGIT_CLAMP).astype(np.float64)
     return total, e * (dlog + lam * dkl) * passthrough
-
-
-def edl_loss_grad(o, y, epoch: int) -> np.ndarray:
-    """d(total loss)/d(logits), elementwise over (..., 2) logit rows.
-
-    Chain rule through e = exp(clamp(o)) and alpha = e + 1; zero outside the
-    clamp range. For one-hot y the KL term's derivative is
-    dKL/db = (b - 1)/b^2 on the incorrect class and 0 on the correct one;
-    other labels raise ValueError. Matches central finite differences away
-    from the clamp.
-    """
-    return edl_loss_and_grad(o, y, epoch)[1]
 
 
 def sigmoid(z) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextvars import copy_context
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,9 +274,9 @@ def forward(model: Estimator, features) -> np.ndarray:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(workers - 1)
-    try:
+    try:  # each worker runs in a copy of this context, so np.errstate holds there
         futures = [
-            pool.submit(_logit_rows, model, x, run, *bufs, logits)
+            pool.submit(copy_context().run, _logit_rows, model, x, run, *bufs, logits)
             for run, bufs in zip(runs[1:], buffers[1:])
         ]
         _logit_rows(model, x, runs[0], *buffers[0], logits)

@@ -1,6 +1,5 @@
-"""Deterministic numeric foundation: log-gamma family special functions,
-separable Gaussian blur, bilinear/nearest resampling, and a seeded
-counter-based random stream.
+"""Deterministic numeric foundation: separable Gaussian blur,
+bilinear/nearest resampling, and a seeded counter-based random stream.
 
 All arithmetic is 64-bit. The random generator is a fixed algorithm
 (SplitMix64) so identical seeds give identical streams on every platform,
@@ -14,106 +13,18 @@ import math
 import numpy as np
 
 __all__ = [
-    "lgamma",
-    "digamma",
     "gaussian_blur",
     "upsample_bilinear",
     "resize_nearest",
     "Rng",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients (standard published set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Bernoulli-number coefficients B_2k used by digamma's asymptotic tail.
-_DIGAMMA_TAIL = [
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-]
-_ASYMPTOTIC_SHIFT = 10.0  # recurrence target; series error < 1e-13 beyond it
-
-
-def _as_positive_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError(f"{name}: empty input")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: input must be finite")
-    if np.any(arr <= 0.0):
-        raise ValueError(f"{name}: input must be strictly positive")
-    return arr
-
-
-def _unwrap(result: np.ndarray, x) -> np.ndarray | float:
-    if np.ndim(x) == 0:
-        return float(result.reshape(()))
-    return result.reshape(np.shape(x))
-
-
-def lgamma(x):
-    """Natural log of the gamma function for x > 0 (Lanczos, g=7).
-
-    Accurate to better than 1e-10 absolute wherever 1e-10 is representable;
-    elsewhere (|ln gamma| above ~1e5) to a few ulp.
-    """
-    arr = _as_positive_array(x, "lgamma")
-    z = np.atleast_1d(arr).ravel() - 1.0
-    series = np.full_like(z, _LANCZOS_COEF[0])
-    for i in range(1, len(_LANCZOS_COEF)):
-        series += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    result = _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(series)
-    return _unwrap(result, x)
-
-
-def digamma(x):
-    """Digamma function psi(x) for x > 0.
-
-    Recurrence psi(x) = psi(x+1) - 1/x shifts the argument above 10, then
-    the Stirling-type asymptotic series is applied.
-    """
-    arr = _as_positive_array(x, "digamma")
-    y = arr.flatten()
-    acc = np.zeros_like(y)
-    # any positive start reaches the shift point within ceil(shift) steps
-    for _ in range(int(_ASYMPTOTIC_SHIFT)):
-        small = y < _ASYMPTOTIC_SHIFT
-        if not small.any():
-            break
-        acc[small] += -1.0 / y[small]
-        y[small] += 1.0
-    inv = 1.0 / y
-    inv2 = inv * inv
-    series = np.zeros_like(y)
-    power = inv2
-    for coef in _DIGAMMA_TAIL:
-        series += coef * power
-        power = power * inv2
-    return _unwrap(acc + (np.log(y) - 0.5 * inv + series), x)
-
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
     radius = math.ceil(3.0 * sigma)
     k = np.arange(-radius, radius + 1, dtype=np.float64)
-    w = np.exp(-0.5 * (k / sigma) ** 2)
+    with np.errstate(over="ignore"):  # a sigma far below a pixel: weights 0, 1, 0
+        w = np.exp(-0.5 * (k / sigma) ** 2)
     return w / w.sum()  # renormalized after truncation: constants preserved
 
 

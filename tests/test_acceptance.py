@@ -89,15 +89,16 @@ def test_a2_kl_closed_form():
     t0 = time.monotonic()
     rng = np.random.default_rng(303)
     worst = 0.0
+    # one-hot y: the correct class is forced to 1, so alpha_tilde = (1, b)
+    y = np.array([1.0, 0.0])
     for _ in range(20):
-        a = 1.0 + rng.uniform(0.0, 9.0, 2)
-        got = float(ev.dirichlet_kl_to_uniform(a))
-        want = kl_to_uniform_quad(a[0], a[1])
+        b = 1.0 + rng.uniform(0.0, 9.0)
+        got = float(ev.edl_kl_reg(np.array([7.0, b]), y))
+        want = kl_to_uniform_quad(1.0, b)
         worst = max(worst, abs(got - want))
-    exact_11 = abs(float(ev.dirichlet_kl_to_uniform(np.array([1.0, 1.0]))))
+    exact_11 = abs(float(ev.edl_kl_reg(np.array([7.0, 1.0]), y)))
     exact_12 = abs(
-        float(ev.dirichlet_kl_to_uniform(np.array([1.0, 2.0])))
-        - (math.log(2.0) - 0.5)
+        float(ev.edl_kl_reg(np.array([7.0, 2.0]), y)) - (math.log(2.0) - 0.5)
     )
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and exact_11 <= 1e-9 and exact_12 <= 1e-9 and elapsed < 5.0

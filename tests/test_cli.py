@@ -134,6 +134,11 @@ OUT_OF_RANGE = [
     ("gen-synthetic", "scene_seed", str(2**63)),  # objects: Rng(2 * scene_seed + 1)
     ("gen-synthetic", "seed", str(2**64)),
     ("toy-gaussian", "seed", str(2**64 - 1)),  # streams seed + 1 .. seed + 4
+    # grids with fewer than two points in [-2, 2], where the summary fits its
+    # ln LR slope, which used to exit 1 or fit one point; the dict holds the
+    # other keys such a case sets
+    ("toy-gaussian", "grid_lo", "3", {"grid_hi": "6"}),
+    ("toy-gaussian", "grid_lo", "1.99", {"grid_hi": "2.01"}),
 ]
 
 
@@ -166,6 +171,18 @@ class TestConfigParsing:
     def test_required_key_enforced(self):
         with pytest.raises(cli.ConfigError, match="features"):
             cli.resolve_config("train", {})
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("score", "checkpoint"), ("score", "features"), ("train", "labels"),
+         ("extrapolate", "train_features"), ("extrapolate", "eval_features")],
+    )
+    def test_empty_required_value_is_missing(self, command, key):
+        raw = {k: "a" for k, (_, default) in cli.SCHEMAS[command].items()
+               if default is cli.REQUIRED}
+        missing = f"missing required config key {key!r}"
+        with pytest.raises(cli.ConfigError, match=missing):
+            cli.resolve_config(command, {**raw, key: ""})
 
     def test_seed_override(self):
         resolved = cli.resolve_config("toy-gaussian", {"seed": "1"}, seed_override=9)
@@ -225,8 +242,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
 
-    # features of 1e308 overflow the first layer, so the logits are NaN
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # features of 1e308 overflow the first layer
     @pytest.mark.parametrize("head", ["sigmoid", "evidential"])
     def test_numerical_failure_is_4(self, tmp_path, capsys, head):
         feat = tmp_path / "f.ulre"
@@ -246,7 +262,24 @@ class TestExitCodes:
         )
         out = tmp_path / "out"
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 4
-        assert "numerical failure:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "numerical failure: overflow encountered in matmul\n"
+
+    # a float overflow outside the training loss, in numpy or in Python
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [("toy-gaussian", "mu0", "1e300"), ("toy-gaussian", "mu1", "1e300"),
+         ("toy-gaussian", "learning_rate", "1e300"),
+         ("train", "learning_rate", "1e300")],
+    )
+    def test_float_overflow_is_4_with_one_line(
+        self, tmp_path, capsys, command, key, value
+    ):
+        base = small_config(tmp_path, command)
+        cfg = write_config(tmp_path / "c.cfg", **{**base, key: value})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
 
     @pytest.mark.parametrize(
         "edit",
@@ -395,12 +428,16 @@ class TestExitCodes:
         assert err.startswith(f"config error: config key {key!r}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,key,value", OUT_OF_RANGE)
+    @pytest.mark.parametrize(
+        "command,key,value,others",
+        [(*case, {})[:4] for case in OUT_OF_RANGE],
+        ids=["-".join(case[:3]) for case in OUT_OF_RANGE],
+    )
     def test_out_of_range_value_is_2_and_names_the_key(
-        self, tmp_path, capsys, command, key, value
+        self, tmp_path, capsys, command, key, value, others
     ):
         base = small_config(tmp_path, command)
-        cfg = write_config(tmp_path / "c.cfg", **{**base, key: value})
+        cfg = write_config(tmp_path / "c.cfg", **{**base, key: value, **others})
         out = tmp_path / "out"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -411,7 +448,7 @@ class TestExitCodes:
         # _check_values skips keys a config lacks, so a misspelt rule never fires
         keys = {key for schema in cli.SCHEMAS.values() for key in schema}
         assert set(cli._RULES) <= keys
-        tested = {key for _, key, _ in OUT_OF_RANGE}
+        tested = {case[1] for case in OUT_OF_RANGE}
         assert set(cli._RULES) <= tested | {key for key, _ in BAD_SCORE_GEOMETRY}
 
     @pytest.mark.parametrize(

@@ -210,6 +210,15 @@ class TestForwardWorkers:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         assert mdl._workers() == 2
 
+    def test_workers_keep_the_callers_float_error_state(self, monkeypatch):
+        # only the rows past the caller's own block overflow
+        monkeypatch.setattr(mdl, "_workers", lambda: 2)
+        m = mdl.init_model([2, 4, 2], seed=0)
+        x = np.zeros((1_024, 2))
+        x[512:] = 1e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            mdl.forward(m, x)
+
     def test_more_workers_than_cores_give_the_bits_of_one(self, monkeypatch):
         threads = set()
         logit_rows = mdl._logit_rows
@@ -328,7 +337,7 @@ def _reference_batch(model, xb, y_onehot, epoch):
         lam = ev.lambda_schedule(epoch)
         kl = ev.edl_kl_reg(alpha, y_onehot)
         loss = float(np.mean(ev.edl_log_loss(alpha, y_onehot) + lam * kl))
-        dlogits = ev.edl_loss_grad(logits, y_onehot, epoch) / n
+        dlogits = ev.edl_loss_and_grad(logits, y_onehot, epoch)[1] / n
     else:
         z, y1 = logits[:, 0], y_onehot[:, 1]
         loss = float(np.mean(ev.bce_loss_from_logit(z, y1)))

@@ -1,81 +1,17 @@
-"""Numeric foundation: special functions, filters, resampling, RNG."""
+"""Numeric foundation: filters, resampling, RNG."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import ndimage, special
+from scipy import ndimage
 
 from ulre.numkernel import (
     Rng,
-    digamma,
     gaussian_blur,
-    lgamma,
     resize_nearest,
     upsample_bilinear,
 )
-
-EULER_GAMMA = 0.5772156649015329
-
-
-class TestLgamma:
-    def test_known_values(self):
-        assert abs(lgamma(1.0)) < 1e-12
-        assert abs(lgamma(2.0)) < 1e-12
-        # ln sqrt(pi)
-        assert lgamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-10)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(1)
-        x = np.concatenate(
-            [rng.uniform(0.5, 100, 300), np.geomspace(100, 1e6, 200)]
-        )
-        got = lgamma(x)
-        want = special.gammaln(x)
-        # 1e-10 absolute where representable, a few ulp of the value beyond
-        np.testing.assert_allclose(got, want, rtol=2e-13, atol=1e-10)
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0.5, 100, 500)
-        np.testing.assert_allclose(
-            lgamma(x + 1.0), lgamma(x) + np.log(x), rtol=0, atol=1e-9
-        )
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            lgamma(bad)
-
-    def test_array_shape_preserved(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert lgamma(x).shape == (2, 2)
-        assert isinstance(lgamma(3.0), float)
-
-
-class TestDigamma:
-    def test_known_values(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-10)
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-10)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(3)
-        x = np.concatenate(
-            [rng.uniform(0.5, 100, 300), np.geomspace(100, 1e6, 200)]
-        )
-        np.testing.assert_allclose(digamma(x), special.psi(x), rtol=0, atol=1e-10)
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(0.5, 100, 500)
-        np.testing.assert_allclose(
-            digamma(x + 1.0) - digamma(x), 1.0 / x, rtol=0, atol=1e-9
-        )
-
-    @pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, np.inf])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            digamma(bad)
 
 
 class TestGaussianBlur:
@@ -93,6 +29,10 @@ class TestGaussianBlur:
         k /= k.sum()
         np.testing.assert_allclose(out, np.outer(k, k), rtol=0, atol=1e-15)
         assert out[3, 3] == pytest.approx(0.15924112569070245, abs=1e-10)
+
+    def test_sigma_far_below_a_pixel_is_identity(self):
+        img = np.random.default_rng(6).normal(size=(5, 4))
+        np.testing.assert_array_equal(gaussian_blur(img, 1e-300), img)
 
     def test_interior_impulse_mass_preserved(self):
         impulse = np.zeros((11, 11))

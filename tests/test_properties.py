@@ -1,9 +1,12 @@
 """Property tests: every reader either returns its result or raises its own
-error type, whatever bytes it is given (random, truncated or mutated), and
-`eval` exits 0, 2 or 3 on malformed inputs, with one error line."""
+error type, whatever bytes it is given (random, truncated or mutated),
+`eval` exits 0, 2 or 3 on malformed inputs, with one error line, and every
+subcommand exits 0, 2, 3 or 4 on any one config value, with one error line
+or none."""
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -196,3 +199,96 @@ def test_eval_exits_0_or_with_one_error_line(tmp_path, fault, data):
     else:
         prefix = {2: "config error: ", 3: "data error: "}[code]
         assert len(lines) == 1 and lines[0].startswith(prefix), lines
+
+
+# Every config key takes these values, and those near its rule's edges below.
+# Left out, as they pass their rules but ask for slow runs: grid_step at its
+# edge (10**6 grid points) and bin_width at its edge (10**6 distance bins).
+VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "", "x"]
+EDGES = {
+    "seed": [2**64 - 5, 2**64 - 4],
+    "scene_seed": [2**63 - 1, 2**63],  # n_scenes = 1
+    "head": ["evidential", "sigmoid"],
+    "hidden_dims": ["1", "4,0"],
+    "val_fraction": [1],
+    "grid_hi": [-6],  # grid_lo's default
+    "grid_lo": [1.5, 1.51],  # grid_hi 6, grid_step 0.5: two, one point in [-2, 2]
+    "bin_width": [1.9e-6],
+    "dim": [1, 2],
+    "n_classes": [1, 255, 256],
+    "ood_index": [1, 2],  # n_ood_directions = 2
+    "ood_max_size": [2, 3],  # ood_min_size = 3
+    "scale_hi": [0.4, 0.5],  # scale_lo's default
+    **dict.fromkeys(
+        ["epochs", "batch_size", "patience", "hidden", "n_per_class", "n_scenes",
+         "height", "width", "ood_min_size"],
+        [1],
+    ),
+}
+PREFIX = {2: "config error: ", 3: "data error: ", 4: "numerical failure: "}
+
+
+@pytest.fixture(scope="module")
+def tiny_configs(tmp_path_factory):
+    """Each subcommand's config on inputs of a few pixels, one epoch."""
+    root = tmp_path_factory.mktemp("inputs")
+    scene_cfg = dict(n_scenes="1", height="8", width="8", dim="3", n_classes="2",
+                     ood_min_size="3", ood_max_size="4")
+    resolved = cli.resolve_config("gen-synthetic", scene_cfg)
+    cli.run_command("gen-synthetic", resolved, root)
+    scene, ckpt, scores = root / "scene_000.ulre", root / "model.ulre", root / "s.ulre"
+    mdl.save_model(ckpt, mdl.init_model([3, 4, 2], seed=0))
+    write_tensor_file(scores, {"scores": np.linspace(0.0, 1.0, 64).reshape(8, 8)})
+    return {
+        "toy-gaussian": dict(n_per_class="50", epochs="1", batch_size="32", hidden="2",
+                             grid_step="0.5"),
+        "train": dict(features=scene, labels=scene, batch_size="16", epochs="1",
+                      hidden_dims="4"),
+        "score": dict(checkpoint=ckpt, features=scene),
+        "eval": dict(scores=scores, labels=scene),
+        "extrapolate": dict(
+            train_features=scene, eval_features=scene, checkpoint_edl=ckpt
+        ),
+        "gen-synthetic": scene_cfg,
+    }
+
+
+def _check_exit_contract(tmp_path, command, config):
+    """Run `command` on `config`: it exits 0 with nothing on stderr (a
+    warning counts), or exits 2, 3 or 4 with one line of the matching kind."""
+    path = tmp_path / "c.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2, 3, 4), (code, lines)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(PREFIX[code]), lines
+    return code, lines
+
+
+@pytest.mark.parametrize("command", list(cli.SCHEMAS))
+@settings(PROPERTY, max_examples=50)
+@given(data=st.data())
+def test_every_command_exits_0_2_3_or_4_on_one_drawn_value(
+    tmp_path, tiny_configs, command, data
+):
+    key = data.draw(st.sampled_from(list(cli.SCHEMAS[command])))
+    value = data.draw(st.sampled_from(VALUES + [str(v) for v in EDGES.get(key, [])]))
+    _check_exit_contract(tmp_path, command, {**tiny_configs[command], key: value})
+
+
+@pytest.mark.parametrize(
+    "grid", [dict(grid_lo=3, grid_hi=6), dict(grid_lo=1.99, grid_hi=2.01)]
+)
+def test_toy_grid_missing_the_center_is_a_config_error(tmp_path, tiny_configs, grid):
+    code, lines = _check_exit_contract(
+        tmp_path, "toy-gaussian", {**tiny_configs["toy-gaussian"], **grid}
+    )
+    assert code == 2 and lines[0].startswith("config error: config key 'grid_lo': ")
