@@ -111,12 +111,10 @@ SCHEMAS: dict[str, dict] = {
         "out_height": (int, 0),
         "out_width": (int, 0),
         "sigma": (_parse_float, 1.0),
-        "seed": (int, 0),
     },
     "eval": {
         "scores": (_parse_paths, REQUIRED),
         "labels": (_parse_paths, REQUIRED),
-        "seed": (int, 0),
     },
     "extrapolate": {
         "train_features": (str, REQUIRED),
@@ -124,7 +122,6 @@ SCHEMAS: dict[str, dict] = {
         "checkpoint_edl": (str, ""),
         "checkpoint_bce": (str, ""),
         "bin_width": (_parse_float, 0.05),
-        "seed": (int, 0),
     },
     "gen-synthetic": {
         "seed": (int, 0),
@@ -171,7 +168,7 @@ def load_config(path) -> dict[str, str]:
     return raw
 
 
-def resolve_config(command: str, raw: dict[str, str], seed_override=None) -> dict:
+def resolve_config(command: str, raw: dict[str, str]) -> dict:
     schema = SCHEMAS[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -187,8 +184,6 @@ def resolve_config(command: str, raw: dict[str, str], seed_override=None) -> dic
             raise ConfigError(f"missing required config key {key!r} for {command}")
         else:
             resolved[key] = list(default) if isinstance(default, list) else default
-    if seed_override is not None:
-        resolved["seed"] = int(seed_override)
     return resolved
 
 
@@ -448,9 +443,12 @@ def cmd_score(resolved: dict, out_dir: Path) -> list[str]:
             f"{resolved['head']!r}"
         )
     [fmap] = _records(resolved["features"], features=3)
-    raw = mdl.HEADS[model.head].score(mdl.predict_map(model, fmap))
     out_h = resolved["out_height"] or fmap.shape[0]
     out_w = resolved["out_width"] or fmap.shape[1]
+    side = max(out_h, out_w)
+    if 3.0 * resolved["sigma"] > side:  # the blur's radius is ceil(3 sigma)
+        raise DataError(f"sigma: 3 * sigma must be <= {side}, the map's larger side")
+    raw = mdl.HEADS[model.head].score(mdl.predict_map(model, fmap))
     scores = metrics.postprocess_scores(raw, out_h, out_w, resolved["sigma"])
     write_tensor_file(out_dir / "scores.ulre", {"scores": scores})
     return ["scores.ulre"]
@@ -633,12 +631,15 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="overrides the config seed")
-    args = parser.parse_args(argv)
+        if "seed" in SCHEMAS[name]:
+            p.add_argument("--seed", help="the config line seed=N, over the file's")
+    args = parser.parse_args(argv, argparse.Namespace(seed=None))  # None: no --seed
 
     try:
         raw = load_config(args.config) if args.config else {}
-        resolved = resolve_config(args.command, raw, seed_override=args.seed)
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        resolved = resolve_config(args.command, raw)
         _require_files(resolved, _COMMANDS[args.command][1])
         # a float overflow, division by zero or invalid operation: exit 4
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -184,9 +184,14 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match=missing):
             cli.resolve_config(command, {**raw, key: ""})
 
-    def test_seed_override(self):
-        resolved = cli.resolve_config("toy-gaussian", {"seed": "1"}, seed_override=9)
-        assert resolved["seed"] == 9
+    def test_seed_override(self, tmp_path, monkeypatch):
+        # --seed N is the raw config line seed=N, which wins over the file's
+        got = {}
+        monkeypatch.setattr(cli, "run_command", lambda c, cfg, o: got.update(cfg))
+        cfg = write_config(tmp_path / "c.cfg", seed=1)
+        argv = ["toy-gaussian", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert cli.main([*argv, "--seed", "9"]) == 0
+        assert got["seed"] == 9
 
     def test_defaults_applied(self):
         resolved = cli.resolve_config("score", {"checkpoint": "a", "features": "b"})
@@ -485,6 +490,46 @@ class TestExitCodes:
             val_fraction=1.5,
         )
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "seed,rule", [("abc", "invalid literal"), ("-1", "must be in [0, ")]
+    )
+    def test_seed_flag_is_parsed_and_ruled_as_the_key(
+        self, tmp_path, capsys, seed, rule
+    ):
+        out = tmp_path / "o"
+        assert cli.main(["gen-synthetic", "--out", str(out), "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key 'seed': {rule}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "eval", "extrapolate"])
+    def test_seedless_commands_reject_a_seed(
+        self, tmp_path, capsys, tiny_configs, command
+    ):
+        cfg = write_config(tmp_path / "c.cfg", **tiny_configs[command])
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        write_config(tmp_path / "c.cfg", **tiny_configs[command], seed=0)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown config keys for {command}: seed\n"
+
+    # the blur's radius, ceil(3 sigma), may not pass the output map's larger side
+    @pytest.mark.parametrize(
+        "sigma,size,code", [(1.33, {}, 0), (1.34, {}, 3), (1.34, {"out_width": 5}, 0)]
+    )
+    def test_sigma_wider_than_the_output_map_is_3(
+        self, tmp_path, capsys, sigma, size, code
+    ):
+        base = small_config(tmp_path, "score")  # a 4 x 4 map
+        cfg = write_config(tmp_path / "c.cfg", **base, sigma=sigma, **size)
+        assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        rejected = "data error: sigma: 3 * sigma must be <= 4, the map's larger side\n"
+        assert capsys.readouterr().err == ("" if code == 0 else rejected)
 
     def test_success_is_0(self, tmp_path):
         cfg = write_config(
@@ -1013,8 +1058,8 @@ class TestManifest:
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_config(
-            tmp_path / "c.cfg", n_scenes=1, height=8, width=8, dim=3, n_classes=1,
-            ood_min_size=3, ood_max_size=4,
+            tmp_path / "c.cfg", seed=5, n_scenes=1, height=8, width=8, dim=3,
+            n_classes=1, ood_min_size=3, ood_max_size=4,
         )
         out = tmp_path / "out"
         assert (
@@ -1023,3 +1068,28 @@ class TestManifest:
         )
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 77
+
+
+class _ReadKeys(dict):
+    """A resolved config that records each key read from it."""
+
+    def __init__(self, resolved):
+        super().__init__(resolved)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_reads_every_key_it_accepts(tmp_path, tiny_configs, command):
+    raw = {k: str(v) for k, v in tiny_configs[command].items()}
+    config = _ReadKeys(cli.resolve_config(command, raw))
+    handler, _ = cli._COMMANDS[command]
+    handler(config, tmp_path)
+    assert set(config) - config.read == set()

@@ -118,25 +118,25 @@ PINNED = {
         "c662444597fe5e2db71b1093e71e358127429a722a37fcc4b1c8760535310ce3"
     ),
     "score_edl/manifest.json": (
-        "5c369b2c0caf49c13421f22376e5f6fb55f5aeb72a8aa0ddfa4ed10a91d586ad"
+        "2a17d03e3967a599098cda076a13ae536245565fa10e0038c54aeb1798a3a412"
     ),
     "score_edl/scores.ulre": (
         "1223447194cc6a46a7b2d8891be9c449832f1c331bfc0f9ec332c144c40c2eb0"
     ),
     "score_bce/manifest.json": (
-        "23f04eb84294cbc47c86b247ea2f5f57f80e7791615ed21dc7ce5d0112ccac96"
+        "81183bac23ced591450c6c2522794df70cf0f98f043a3f5fa75051f8475d84e4"
     ),
     "score_bce/scores.ulre": (
         "28b5ad48f3f2d9c2742bb71b1c5c3483a1d1ebc1ba3db3075ec52343d988a49f"
     ),
     "score_upsampled/manifest.json": (
-        "c15c2fb90bb2cfb336ae2d9a713579faeedcbf21bed8946fe5a84f6e1c7c7715"
+        "7001ed4c3e80458a6dfec68ce2482eda238175f7c6cdc5bafde0ab17936b1a9e"
     ),
     "score_upsampled/scores.ulre": (
         "ebfd9f9f3d5ced528bdbe612bc7f9ae84624797b332e8018013ee3e4cac56faf"
     ),
     "eval/manifest.json": (
-        "f65e81d8ef7c22cc1fa77d7bcc0267554f5cf011409ded35dec52c28848c1406"
+        "8d1dde4e186c1c45291d6426232202b7c0a82e977b412fa618576e40a52109d6"
     ),
     "eval/metrics.json": (
         "b1ed8d78bdc8a6f569a5df2f46393459e14a462d74c845be106c6eb41a27ac5c"
@@ -148,7 +148,7 @@ PINNED = {
         "34dffd12e179e1a7782f87f5a894c6a65046b629211a62492481f97d39c7b9ca"
     ),
     "extrapolate/manifest.json": (
-        "539f78e28ddeb8e0935dd0974d1cf5da6da81d39cd3d28769159d7aef77fd2ce"
+        "bae0b9afd42e169316f10b94a572bb94d621e625175faedf658c1b61098fcff9"
     ),
     "toy/manifest.json": (
         "0fd7c836c49edaca2ab59a479ae1ab886e7be2f2320c19e23fa22cd950002894"

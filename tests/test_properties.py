@@ -214,6 +214,7 @@ EDGES = {
     "grid_hi": [-6],  # grid_lo's default
     "grid_lo": [1.5, 1.51],  # grid_hi 6, grid_step 0.5: two, one point in [-2, 2]
     "bin_width": [1.9e-6],
+    "sigma": [2.66, 2.67, 1e4],  # 8 x 8 map: 3 * sigma must be <= 8
     "dim": [1, 2],
     "n_classes": [1, 255, 256],
     "ood_index": [1, 2],  # n_ood_directions = 2
@@ -226,31 +227,6 @@ EDGES = {
     ),
 }
 PREFIX = {2: "config error: ", 3: "data error: ", 4: "numerical failure: "}
-
-
-@pytest.fixture(scope="module")
-def tiny_configs(tmp_path_factory):
-    """Each subcommand's config on inputs of a few pixels, one epoch."""
-    root = tmp_path_factory.mktemp("inputs")
-    scene_cfg = dict(n_scenes="1", height="8", width="8", dim="3", n_classes="2",
-                     ood_min_size="3", ood_max_size="4")
-    resolved = cli.resolve_config("gen-synthetic", scene_cfg)
-    cli.run_command("gen-synthetic", resolved, root)
-    scene, ckpt, scores = root / "scene_000.ulre", root / "model.ulre", root / "s.ulre"
-    mdl.save_model(ckpt, mdl.init_model([3, 4, 2], seed=0))
-    write_tensor_file(scores, {"scores": np.linspace(0.0, 1.0, 64).reshape(8, 8)})
-    return {
-        "toy-gaussian": dict(n_per_class="50", epochs="1", batch_size="32", hidden="2",
-                             grid_step="0.5"),
-        "train": dict(features=scene, labels=scene, batch_size="16", epochs="1",
-                      hidden_dims="4"),
-        "score": dict(checkpoint=ckpt, features=scene),
-        "eval": dict(scores=scores, labels=scene),
-        "extrapolate": dict(
-            train_features=scene, eval_features=scene, checkpoint_edl=ckpt
-        ),
-        "gen-synthetic": scene_cfg,
-    }
 
 
 def _check_exit_contract(tmp_path, command, config):
@@ -292,3 +268,14 @@ def test_toy_grid_missing_the_center_is_a_config_error(tmp_path, tiny_configs, g
         tmp_path, "toy-gaussian", {**tiny_configs["toy-gaussian"], **grid}
     )
     assert code == 2 and lines[0].startswith("config error: config key 'grid_lo': ")
+
+
+@pytest.mark.parametrize("sigma,exits", [(2.66, 0), (2.67, 3), (1e4, 3), (1e300, 3)])
+def test_sigma_wider_than_the_map_is_rejected_before_the_blur(
+    tmp_path, tiny_configs, sigma, exits
+):
+    code, lines = _check_exit_contract(
+        tmp_path, "score", {**tiny_configs["score"], "sigma": sigma}
+    )
+    assert code == exits
+    assert code == 0 or lines[0].startswith("data error: sigma: ")
