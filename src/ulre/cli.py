@@ -107,7 +107,6 @@ SCHEMAS: dict[str, dict] = {
     "score": {
         "checkpoint": (str, REQUIRED),
         "features": (str, REQUIRED),
-        "head": (str, ""),
         "out_height": (int, 0),
         "out_width": (int, 0),
         "sigma": (_parse_float, 1.0),
@@ -201,10 +200,7 @@ _RULES = {
         lambda v, cfg: 0 <= v <= 2**63 - cfg["n_scenes"],
         f"in [0, {2**63} - n_scenes]",
     ),
-    "head": (  # score's empty default takes the checkpoint's head
-        lambda v, cfg: v in mdl.HEADS or (v == "" and "checkpoint" in cfg),
-        " or ".join(map(repr, mdl.HEADS)) + " (or empty in score)",
-    ),
+    "head": (lambda v, cfg: v in mdl.HEADS, " or ".join(map(repr, mdl.HEADS))),
     "epochs": _AT_LEAST_1,
     "learning_rate": _POSITIVE,
     "batch_size": _AT_LEAST_1,
@@ -437,11 +433,6 @@ def cmd_train(resolved: dict, out_dir: Path) -> list[str]:
 
 def cmd_score(resolved: dict, out_dir: Path) -> list[str]:
     model = mdl.load_model(resolved["checkpoint"])
-    if resolved["head"] and resolved["head"] != model.head:
-        raise DataError(
-            f"checkpoint head {model.head!r} does not match requested "
-            f"{resolved['head']!r}"
-        )
     [fmap] = _records(resolved["features"], features=3)
     out_h = resolved["out_height"] or fmap.shape[0]
     out_w = resolved["out_width"] or fmap.shape[1]
@@ -547,7 +538,7 @@ def cmd_gen_synthetic(resolved: dict, out_dir: Path) -> list[str]:
             resolved["dim"],
             n_classes,
             scene_seed,
-            directions=id_dirs,
+            id_dirs,
             noise_sigma=resolved["noise_sigma"],
             mean_scale=resolved["mean_scale"],
         )

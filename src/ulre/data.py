@@ -219,6 +219,7 @@ def analytic_gaussian_lr(x, mu0: float, mu1: float):
     Closed form exp((mu1 - mu0) * x + (mu0^2 - mu1^2) / 2).
     """
     x = np.asarray(x, dtype=np.float64)
+    mu0, mu1 = np.float64(mu0), np.float64(mu1)  # overflow raises under errstate
     return np.exp((mu1 - mu0) * x + (mu0**2 - mu1**2) / 2.0)
 
 
@@ -340,19 +341,17 @@ def gen_synthetic_scene(
     d: int,
     n_id_classes: int,
     seed: int,
+    directions: np.ndarray,
     *,
-    directions: np.ndarray | None = None,
-    min_angle: float = 0.5,
     noise_sigma: float = 0.1,
     mean_scale: float = 1.0,
 ):
     """Clustered stand-in for backbone feature maps.
 
     Pixels are partitioned into contiguous regions (nearest of one random
-    anchor per class) and each pixel's feature is its class mean direction
-    times mean_scale plus isotropic Gaussian noise. Deterministic per seed.
-    Pass precomputed unit `directions` to share class identities across
-    scenes; otherwise they are drawn from the scene seed.
+    anchor per class) and each pixel's feature is its class's unit direction
+    (a row of `directions`, shared across scenes) times mean_scale plus
+    isotropic Gaussian noise. Deterministic per seed.
     """
     if d < 2:
         raise ValueError("gen_synthetic_scene: d must be >= 2")
@@ -362,16 +361,12 @@ def gen_synthetic_scene(
         raise ValueError("gen_synthetic_scene: n_id_classes must be >= 1")
     if n_id_classes > 255:
         raise ValueError("gen_synthetic_scene: at most 255 classes (u8 ids)")
+    directions = np.asarray(directions, dtype=np.float64)
+    if directions.shape != (n_id_classes, d):
+        raise ValueError(
+            f"gen_synthetic_scene: directions must be ({n_id_classes}, {d})"
+        )
     rng = Rng(seed)
-    if directions is None:
-        directions = sample_unit_directions(d, n_id_classes, min_angle, rng)
-    else:
-        directions = np.asarray(directions, dtype=np.float64)
-        if directions.shape != (n_id_classes, d):
-            raise ValueError(
-                f"gen_synthetic_scene: directions must be ({n_id_classes}, {d})"
-            )
-
     if n_id_classes == 1:
         class_ids = np.zeros((h, w), dtype=np.uint8)
     else:

@@ -54,9 +54,9 @@ def _validate_scores_labels(scores, labels):
     return s, pos
 
 
-def ap_and_fpr95(scores, labels, tpr_target: float = 0.95) -> tuple[float, float]:
+def ap_and_fpr95(scores, labels) -> tuple[float, float]:
     """Non-interpolated average precision and the lowest false positive rate
-    among thresholds reaching the TPR target.
+    among thresholds reaching 95% TPR.
 
     A score is positive when >= the threshold, and the thresholds run down
     through the distinct score values, so ties share a threshold.
@@ -67,10 +67,10 @@ def ap_and_fpr95(scores, labels, tpr_target: float = 0.95) -> tuple[float, float
     s, pos = _validate_scores_labels(scores, labels)
     neg = s[~pos]
     neg.sort()
-    return pooled_ap_and_fpr95([(s[pos], neg)], tpr_target)
+    return pooled_ap_and_fpr95([(s[pos], neg)])
 
 
-def pooled_ap_and_fpr95(parts, tpr_target: float = 0.95) -> tuple[float, float]:
+def pooled_ap_and_fpr95(parts) -> tuple[float, float]:
     """`ap_and_fpr95` of the scores of several parts pooled, each part given
     as (its positive scores, its negative scores sorted ascending).
 
@@ -88,7 +88,7 @@ def pooled_ap_and_fpr95(parts, tpr_target: float = 0.95) -> tuple[float, float]:
     tp = np.cumsum(hits[::-1])
     recall = tp / n_pos
     precision = tp / (tp + fp)
-    fpr95 = float((fp / n_neg)[recall >= tpr_target].min())
+    fpr95 = float((fp / n_neg)[recall >= 0.95].min())
     return math.fsum(np.diff(recall, prepend=0.0) * precision), fpr95
 
 

@@ -43,6 +43,9 @@ CHECKPOINT_FORMAT_VERSION = 1
 # the bias add and the leaky ReLU into the next layer.
 _BLOCK_ROWS = 256
 _FORWARD_ALIGN = 64
+# The leaky ReLU is max(z, _SLOPE * z). As _SLOPE > 0, an activation is > 0
+# exactly where its z is, so the backward pass takes its mask from h > 0.
+_SLOPE = 0.01
 # Adam's decay rates and guard: the defaults of Kingma & Ba (ICLR 2015)
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -117,7 +120,6 @@ class Estimator:
     layer_dims: list[int]
     weights: list[np.ndarray]  # (fan_in, fan_out) per layer
     biases: list[np.ndarray]
-    slope: float = 0.01
     head: str = "evidential"
 
 
@@ -144,7 +146,7 @@ class TrainReport:
     n_val: int = 0
 
 
-def _check_architecture(dims: list[int], head: str, slope: float) -> None:
+def _check_architecture(dims: list[int], head: str) -> None:
     if head not in HEADS:
         raise ValueError(f"unknown head kind: {head!r}")
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -154,17 +156,12 @@ def _check_architecture(dims: list[int], head: str, slope: float) -> None:
             f"final width {dims[-1]} incompatible with head {head!r} "
             f"(needs {HEADS[head].width})"
         )
-    # leaky ReLU is max(z, slope * z) in _logit_rows; its mask is h > 0
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky-ReLU slope must lie in [0, 1], got {slope!r}")
 
 
-def init_model(
-    layer_dims, seed: int, head: str = "evidential", slope: float = 0.01
-) -> Estimator:
+def init_model(layer_dims, seed: int, head: str = "evidential") -> Estimator:
     """Seeded fan-in-scaled uniform init: W ~ U(-sqrt(6/fan_in), +...), b = 0."""
     dims = [int(d) for d in layer_dims]
-    _check_architecture(dims, head, slope)
+    _check_architecture(dims, head)
     rng = Rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -172,15 +169,14 @@ def init_model(
         w = rng.uniform_range(fan_in * fan_out, -bound, bound)
         weights.append(w.reshape(fan_in, fan_out))
         biases.append(np.zeros(fan_out))
-    return Estimator(dims, weights, biases, slope=slope, head=head)
+    return Estimator(dims, weights, biases, head=head)
 
 
-def _leaky_grad(h: np.ndarray, slope: float, out=None) -> np.ndarray:
-    """The float mask (h > 0) * (1 - slope) + slope; `out` may be h. For
-    0 < slope <= 1, an activation h is > 0 exactly where its z is."""
+def _leaky_grad(h: np.ndarray, out=None) -> np.ndarray:
+    """The float mask (h > 0) * (1 - _SLOPE) + _SLOPE; `out` may be h."""
     mask = np.greater(h, 0.0, out=out).astype(np.float64, copy=False)
-    mask *= 1.0 - slope
-    mask += slope
+    mask *= 1.0 - _SLOPE
+    mask += _SLOPE
     return mask
 
 
@@ -223,15 +219,15 @@ def _logit_rows(model: Estimator, x, bounds, hidden, scratch, out) -> None:
 
     The rows go through every layer one block at a time, from each bound to
     the next: each hidden layer as matmul, bias add and leaky ReLU (max(z,
-    slope * z)), the last layer as matmul and bias add. `hidden` holds one
-    block of each hidden layer, and `scratch` one block's slope * z.
+    _SLOPE * z)), the last layer as matmul and bias add. `hidden` holds one
+    block of each hidden layer, and `scratch` one block's _SLOPE * z.
     """
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         h = x[lo:hi]
         for w, b, buf in zip(model.weights[:-1], model.biases[:-1], hidden):
             z = np.matmul(h, w, out=buf[: hi - lo])
             z += b
-            t = np.multiply(z, model.slope, out=scratch[: z.size].reshape(z.shape))
+            t = np.multiply(z, _SLOPE, out=scratch[: z.size].reshape(z.shape))
             h = np.maximum(z, t, out=z)
         z = np.matmul(h, model.weights[-1], out=out[lo:hi])
         z += model.biases[-1]
@@ -329,7 +325,7 @@ class _Step:
             np.matmul(h.T, delta, out=self.grads_w[i])
             np.sum(delta, axis=0, out=self.grads_b[i])
             if i > 0:
-                mask = _leaky_grad(h, model.slope, out=h)
+                mask = _leaky_grad(h, out=h)
                 back = self.scratch[: h.size].reshape(h.shape)
                 np.matmul(delta, model.weights[i].T, out=back)
                 delta = np.multiply(back, mask, out=h)
@@ -484,7 +480,7 @@ def save_model(path, model: Estimator) -> None:
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_dims": model.layer_dims,
-        "slope": model.slope,
+        "slope": _SLOPE,
         "head": model.head,
     }
     records: dict[str, np.ndarray] = {
@@ -515,15 +511,15 @@ def load_model(path) -> Estimator:
             f"{path}: unsupported checkpoint format version "
             f"{header.get('format_version')!r}"
         )
-    dims, head, slope = (header.get(k) for k in ("layer_dims", "head", "slope"))
+    dims, head = header.get("layer_dims"), header.get("head")
     if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise DataError(f"{path}: checkpoint 'layer_dims' must be a list of integers")
     if not isinstance(head, str):
         raise DataError(f"{path}: checkpoint 'head' must be a string")
-    if type(slope) not in (int, float):
-        raise DataError(f"{path}: checkpoint 'slope' must be a number")
+    if header.get("slope") != _SLOPE:
+        raise DataError(f"{path}: checkpoint 'slope' must be {_SLOPE}")
     try:
-        _check_architecture(dims, head, slope)
+        _check_architecture(dims, head)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     weights, biases = [], []
@@ -542,4 +538,4 @@ def load_model(path) -> Estimator:
                 )
             check_finite(path, key, arr)
             store.append(np.asarray(arr, dtype=np.float64))
-    return Estimator(dims, weights, biases, slope=float(slope), head=head)
+    return Estimator(dims, weights, biases, head=head)

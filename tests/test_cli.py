@@ -94,7 +94,6 @@ OUT_OF_RANGE = [
     ("toy-gaussian", "grid_hi", "-6"),
     # rules that were checks inside the command handlers
     ("train", "head", "gaussian"),
-    ("score", "head", "gaussian"),
     ("extrapolate", "checkpoint_edl", ""),
     ("gen-synthetic", "ood_index", "2"),
     ("gen-synthetic", "ood_index", "-1"),
@@ -285,6 +284,11 @@ class TestExitCodes:
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
+        # mu0 overflows in the true LR's mu0**2; mu1 first in training, where
+        # Adam squares the gradient
+        want = {"mu0": "scalar power", "mu1": "multiply"}.get(key)
+        if want:
+            assert lines == [f"numerical failure: overflow encountered in {want}"]
 
     @pytest.mark.parametrize(
         "edit",
@@ -298,10 +302,12 @@ class TestExitCodes:
             lambda h: {**h, "head": ["evidential"]},
             lambda h: {**h, "slope": "0.01"},
             lambda h: {**h, "slope": 2.0},
+            lambda h: {**h, "slope": 0.5},
         ],
         ids=[
             "no_layer_dims", "no_head", "no_slope", "list_header", "layer_dims_int",
             "layer_dims_str_entry", "head_list", "slope_str", "slope_range",
+            "slope_other",
         ],
     )
     def test_malformed_checkpoint_header_is_3(self, tmp_path, capsys, edit):
@@ -711,20 +717,19 @@ class TestTrainScoreEval:
         scores = read_tensor_file(out / "scores.ulre")["scores"]
         np.testing.assert_allclose(scores, 1.0, rtol=1e-12)
 
-    def test_head_mismatch_rejected(self, tmp_path, scenes):
-        model_dir = self._train(tmp_path, scenes, "model")
-        cfg = cli.resolve_config(
-            "score",
-            {
-                "checkpoint": str(model_dir / "model.ulre"),
-                "features": str(scenes / "scene_000.ulre"),
-                "head": "sigmoid",
-            },
+    def test_head_mismatch_rejected(self, tmp_path, capsys, scenes):
+        # score takes its head from the checkpoint and has no head key
+        ckpt = tmp_path / "model.ulre"
+        mdl.save_model(ckpt, mdl.init_model([4, 8, 2], seed=0))
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            checkpoint=str(ckpt),
+            features=str(scenes / "scene_000.ulre"),
+            head="sigmoid",
         )
-        from ulre.data import DataError
-
-        with pytest.raises(DataError, match="head"):
-            cli.run_command("score", cfg, tmp_path / "bad")
+        assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: unknown config keys for score: head\n"
 
     def test_eval_inverted_scores_at_or_below_chance(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -299,6 +299,12 @@ class TestAnalyticLr:
     def test_symmetry_point(self):
         assert analytic_gaussian_lr(0.0, -0.4, 0.4) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mu0,mu1", [(1e300, 0.4), (-0.4, 1e300)])
+    def test_overflow_is_a_numpy_floating_point_error(self, mu0, mu1):
+        # the CLI reports FloatingPointError, not Python's OverflowError
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            analytic_gaussian_lr(0.0, mu0, mu1)
+
     def test_closed_form_matches_density_ratio(self):
         def normal_pdf(x, mu):
             return np.exp(-0.5 * (x - mu) ** 2) / np.sqrt(2 * np.pi)
@@ -421,21 +427,20 @@ class TestUnitDirections:
 
 class TestSyntheticScene:
     def test_deterministic(self):
-        a = gen_synthetic_scene(8, 9, 4, 3, seed=13)
-        b = gen_synthetic_scene(8, 9, 4, 3, seed=13)
+        dirs = sample_unit_directions(4, 3, 0.5, Rng(12))
+        a = gen_synthetic_scene(8, 9, 4, 3, 13, dirs)
+        b = gen_synthetic_scene(8, 9, 4, 3, 13, dirs)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_single_class(self):
-        feats, ids = gen_synthetic_scene(6, 6, 4, 1, seed=14)
+        feats, ids = gen_synthetic_scene(6, 6, 4, 1, 14, np.eye(4)[:1])
         assert set(np.unique(ids)) == {0}
         assert feats.shape == (6, 6, 4)
 
     def test_class_conditional_means(self):
         dirs = sample_unit_directions(8, 2, 0.5, Rng(15))
-        feats, ids = gen_synthetic_scene(
-            40, 40, 8, 2, seed=16, directions=dirs, noise_sigma=0.1
-        )
+        feats, ids = gen_synthetic_scene(40, 40, 8, 2, 16, dirs, noise_sigma=0.1)
         flat = feats.reshape(-1, 8)
         flat_ids = ids.reshape(-1)
         for k in range(2):
@@ -445,25 +450,26 @@ class TestSyntheticScene:
 
     def test_shared_directions_give_same_clusters(self):
         dirs = sample_unit_directions(6, 3, 0.5, Rng(17))
-        f1, _ = gen_synthetic_scene(10, 10, 6, 3, seed=18, directions=dirs)
-        f2, _ = gen_synthetic_scene(10, 10, 6, 3, seed=19, directions=dirs)
+        f1, _ = gen_synthetic_scene(10, 10, 6, 3, 18, dirs)
+        f2, _ = gen_synthetic_scene(10, 10, 6, 3, 19, dirs)
         assert not np.array_equal(f1, f2)  # different noise/layout
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gen_synthetic_scene(4, 4, 1, 2, seed=20)
+            gen_synthetic_scene(4, 4, 1, 2, 20, np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            gen_synthetic_scene(4, 4, 4, 0, seed=21)
-        with pytest.raises(ValueError):
-            gen_synthetic_scene(4, 4, 4, 2, seed=22, directions=np.zeros((3, 4)))
+            gen_synthetic_scene(4, 4, 4, 0, 21, np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="directions"):
+            gen_synthetic_scene(4, 4, 4, 2, 22, np.zeros((3, 4)))
         with pytest.raises(ValueError, match="h and w"):
-            gen_synthetic_scene(0, 4, 4, 2, seed=23)
+            gen_synthetic_scene(0, 4, 4, 2, 23, np.zeros((2, 4)))
 
     def test_peak_memory(self):
         # the noise is drawn in chunks, never beside the features at full size
+        dirs = sample_unit_directions(16, 4, 0.5, Rng(1))
         tracemalloc.start()
         try:
-            feats, _ = gen_synthetic_scene(384, 384, 16, 4, seed=0)
+            feats, _ = gen_synthetic_scene(384, 384, 16, 4, 0, dirs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

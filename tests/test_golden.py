@@ -118,19 +118,19 @@ PINNED = {
         "c662444597fe5e2db71b1093e71e358127429a722a37fcc4b1c8760535310ce3"
     ),
     "score_edl/manifest.json": (
-        "2a17d03e3967a599098cda076a13ae536245565fa10e0038c54aeb1798a3a412"
+        "dc8ae375b6c591778323648d1d0bb612189ea42a8452bd3f1bf776c56e9bd512"
     ),
     "score_edl/scores.ulre": (
         "1223447194cc6a46a7b2d8891be9c449832f1c331bfc0f9ec332c144c40c2eb0"
     ),
     "score_bce/manifest.json": (
-        "81183bac23ced591450c6c2522794df70cf0f98f043a3f5fa75051f8475d84e4"
+        "8d7722dd76c73068ff006c68d9ddfa494944c263ce6f245e14de902b51aacf6c"
     ),
     "score_bce/scores.ulre": (
         "28b5ad48f3f2d9c2742bb71b1c5c3483a1d1ebc1ba3db3075ec52343d988a49f"
     ),
     "score_upsampled/manifest.json": (
-        "7001ed4c3e80458a6dfec68ce2482eda238175f7c6cdc5bafde0ab17936b1a9e"
+        "f53df83406264c02c50b245b8f085145ab57a6d69262c863c865080a90f78ca1"
     ),
     "score_upsampled/scores.ulre": (
         "ebfd9f9f3d5ced528bdbe612bc7f9ae84624797b332e8018013ee3e4cac56faf"

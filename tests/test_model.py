@@ -32,7 +32,7 @@ def reference_forward_rows(model, x):
         z = h @ w
         z += b
         if i < last:
-            np.maximum(z, model.slope * z, out=z)
+            np.maximum(z, 0.01 * z, out=z)
         h = z
     return h
 
@@ -81,8 +81,6 @@ class TestInit:
             mdl.init_model([4, 0, 2], seed=0)
         with pytest.raises(ValueError):
             mdl.init_model([4, 8, 2], seed=0, head="softmax")
-        with pytest.raises(ValueError, match="slope"):
-            mdl.init_model([4, 8, 2], seed=0, slope=1.5)
 
 
 class TestForward:
@@ -112,7 +110,6 @@ class TestForward:
             [1, 1, 2],
             [np.array([[1.0]]), np.array([[1.0, 0.0]])],
             [np.zeros(1), np.zeros(2)],
-            slope=0.01,
         )
         out = mdl.forward(m, np.array([[-3.0]]))
         assert out[0, 0] == pytest.approx(-0.03)
@@ -148,7 +145,7 @@ class TestForward:
             want = reference_forward_blocks(m, x)
             np.testing.assert_array_equal(mdl.forward(m, x), want)
 
-    @pytest.mark.parametrize("slope", [0.01, 1.0])
+    @pytest.mark.parametrize("slope", [0.01])  # the one leaky-ReLU slope
     def test_activation_kernels_match_where_forms(self, slope):
         tiny = np.finfo(np.float64).smallest_subnormal
         z = np.array(
@@ -158,7 +155,7 @@ class TestForward:
         # one hidden unit whose pre-activation is z: x @ [[1]] + (-0.0)
         # keeps every value, though the matmul turns -0.0 into 0.0; the
         # last layer copies it, so that no product overflows
-        m = mdl.init_model([1, 1, 2], seed=0, slope=slope)
+        m = mdl.init_model([1, 1, 2], seed=0)
         m.weights[0][...] = m.weights[1][...] = 1.0
         m.biases[0][...] = -0.0
         x = z[:, None]
@@ -170,8 +167,8 @@ class TestForward:
         grad = np.where(z > 0.0, 1.0, slope)
         for got, want in (
             (h, np.where(pre > 0.0, pre, slope * pre)),
-            (mdl._leaky_grad(act, slope), grad),
-            (mdl._leaky_grad((a := act.copy()), slope, out=a), grad),  # in place
+            (mdl._leaky_grad(act), grad),
+            (mdl._leaky_grad((a := act.copy()), out=a), grad),  # in place
         ):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -309,7 +306,7 @@ def _reference_forward_cached(model, x):
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = h @ w + b
         pres.append(z)
-        h = np.where(z > 0.0, z, model.slope * z) if i < last else z
+        h = np.where(z > 0.0, z, 0.01 * z) if i < last else z
         acts.append(h)
     return acts, pres
 
@@ -323,7 +320,7 @@ def _reference_backward(model, acts, pres, dlogits):
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * np.where(
-                pres[i - 1] > 0.0, 1.0, model.slope
+                pres[i - 1] > 0.0, 1.0, 0.01
             )
     return grads_w, grads_b
 
@@ -427,7 +424,7 @@ class TestBufferedStep:
         for a, b in zip(got.weights + got.biases, weights + biases):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("slope", [0.01, 1.0])
+    @pytest.mark.parametrize("slope", [0.01])  # the one the references use
     @pytest.mark.parametrize(
         "head,dims",
         [
@@ -440,7 +437,8 @@ class TestBufferedStep:
     def test_batch_loss_grads_matches_reference(self, head, dims, slope):
         # the reference's masks come from pre-activations, the step's from
         # activations; one step serves batches of 1 and 50 of its 64 rows
-        m = mdl.init_model(dims, seed=38, head=head, slope=slope)
+        assert mdl._SLOPE == slope
+        m = mdl.init_model(dims, seed=38, head=head)
         step = mdl._Step(m, 64)
         rng = np.random.default_rng(39)
         for rows in (1, 50):
@@ -643,7 +641,6 @@ class TestCheckpointIo:
         back = mdl.load_model(path)
         assert back.layer_dims == m.layer_dims
         assert back.head == m.head
-        assert back.slope == m.slope
         for a, b in zip(back.weights + back.biases, m.weights + m.biases):
             np.testing.assert_array_equal(a, b)
 

@@ -62,9 +62,8 @@ def reference_class_ids(h, w, anchor_y, anchor_x):
     return dist2.argmin(axis=-1).astype(np.uint8)
 
 
-def ref_scene(h, w, d, n_id_classes, seed, noise_sigma=0.1, mean_scale=1.0):
+def ref_scene(h, w, d, n_id_classes, seed, directions, noise_sigma, mean_scale):
     rng = RefRng(seed)
-    directions = sample_unit_directions(d, n_id_classes, 0.5, rng)
     anchor_y = rng.uniform_range(n_id_classes, 0.0, float(h))
     anchor_x = rng.uniform_range(n_id_classes, 0.0, float(w))
     class_ids = reference_class_ids(h, w, anchor_y, anchor_x)
@@ -115,23 +114,22 @@ def test_mixed_calls_carry_the_counter(seed):
     [(384, 384, 16, 4), (97, 175, 8, 4), (5, 7, 3, 2), (33, 33, 3, 3), (31, 29, 16, 255)],
 )
 def test_scene_matches_whole_array_reference(shape):
-    want_f, want_ids = ref_scene(*shape, seed=101, noise_sigma=0.3, mean_scale=1.7)
-    got_f, got_ids = gen_synthetic_scene(*shape, seed=101, noise_sigma=0.3, mean_scale=1.7)
+    dirs = sample_unit_directions(*shape[2:], 0.5, Rng(100))
+    want_f, want_ids = ref_scene(*shape, 101, dirs, noise_sigma=0.3, mean_scale=1.7)
+    got_f, got_ids = gen_synthetic_scene(
+        *shape, 101, dirs, noise_sigma=0.3, mean_scale=1.7
+    )
     np.testing.assert_array_equal(got_ids, want_ids)
     np.testing.assert_array_equal(got_f, want_f)
 
 
-def ref_single_class_scene(h, w, d, seed):
-    # one class: every pixel is class 0 and no anchors are drawn
-    rng = RefRng(seed)
-    direction = sample_unit_directions(d, 1, 0.5, rng)[0]
-    return ref_object(h, w, direction, rng, 0.1, 1.0)
-
-
 def test_single_class_scene_matches_reference():
-    got, ids = gen_synthetic_scene(64, 70, 8, 1, seed=3)
+    # one class: every pixel is class 0 and no anchors are drawn
+    direction = sample_unit_directions(8, 1, 0.5, Rng(2))
+    got, ids = gen_synthetic_scene(64, 70, 8, 1, 3, direction)
     assert not ids.any()
-    np.testing.assert_array_equal(got, ref_single_class_scene(64, 70, 8, 3))
+    want = ref_object(64, 70, direction[0], RefRng(3), 0.1, 1.0)
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("hw", [(1, 1), (8, 9), (64, 65)])
