@@ -39,8 +39,8 @@ CHECKPOINT_FORMAT_VERSION = 1
 # a matmul's result bits can depend on its row count (a 1-row product goes
 # through numpy's gemv; a one-column one computes the rows past the last
 # multiple of 4 with another kernel), so no block is a short tail. A 256-row
-# block of a 256-wide layer (512 KiB) stays in cache from its matmul through
-# the bias add and the leaky ReLU into the next layer.
+# float32 block of a 256-wide layer (256 KiB) stays in cache from its matmul
+# through the bias add and the leaky ReLU into the next layer.
 _BLOCK_ROWS = 256
 _FORWARD_ALIGN = 64
 # The leaky ReLU is max(z, _SLOPE * z). As _SLOPE > 0, an activation is > 0
@@ -213,36 +213,51 @@ def _workers() -> int:
     return max(1, cores // blas)
 
 
-def _logit_rows(model: Estimator, x, bounds, hidden, scratch, out) -> None:
-    """Write the logits of rows bounds[0] to bounds[-1] of x into the same
-    rows of `out`: the one kernel that runs the network's layers.
+def _logit_rows(weights, biases, x, hidden, scratch, out) -> None:
+    """Write the logits of the rows of x into `out`: the one kernel that
+    runs the network's layers, in the dtype of the arrays it is given.
 
-    The rows go through every layer one block at a time, from each bound to
-    the next: each hidden layer as matmul, bias add and leaky ReLU (max(z,
-    _SLOPE * z)), the last layer as matmul and bias add. `hidden` holds one
-    block of each hidden layer, and `scratch` one block's _SLOPE * z.
+    Each hidden layer is matmul, bias add and leaky ReLU (max(z, _SLOPE *
+    z)), the last layer matmul and bias add. `hidden` holds a block of at
+    least x's rows for each hidden layer, and `scratch` one block's
+    _SLOPE * z.
+    """
+    h = x
+    for w, b, buf in zip(weights[:-1], biases[:-1], hidden):
+        z = np.matmul(h, w, out=buf[: len(x)])
+        z += b
+        t = np.multiply(z, _SLOPE, out=scratch[: z.size].reshape(z.shape))
+        h = np.maximum(z, t, out=z)
+    z = np.matmul(h, weights[-1], out=out)
+    z += biases[-1]
+
+
+def _logit_blocks(weights, biases, x, bounds, blocks, scratch, out) -> None:
+    """Write the logits of rows bounds[0] to bounds[-1] of x into the same
+    rows of `out`, one block at a time, from each bound to the next.
+
+    `blocks` holds one block of each layer's input and one of the logits,
+    all in the parameters' dtype: each block of x is copied into the first,
+    runs through `_logit_rows` into the last, and is copied into `out`.
     """
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        h = x[lo:hi]
-        for w, b, buf in zip(model.weights[:-1], model.biases[:-1], hidden):
-            z = np.matmul(h, w, out=buf[: hi - lo])
-            z += b
-            t = np.multiply(z, _SLOPE, out=scratch[: z.size].reshape(z.shape))
-            h = np.maximum(z, t, out=z)
-        z = np.matmul(h, model.weights[-1], out=out[lo:hi])
-        z += model.biases[-1]
+        xb, *hidden, zb = (buf[: hi - lo] for buf in blocks)
+        xb[...] = x[lo:hi]
+        _logit_rows(weights, biases, xb, hidden, scratch, zb)
+        out[lo:hi] = zb
 
 
 def forward(model: Estimator, features) -> np.ndarray:
-    """Row-wise logits for an (N, D) batch of feature vectors.
+    """Row-wise float64 logits for an (N, D) batch of feature vectors,
+    computed in float32.
 
-    The rows are cut into near-equal blocks of at most _BLOCK_ROWS rows,
-    and each block goes through every layer on its own. The blocks are
-    shared out in near-equal runs of consecutive blocks, one run per worker
-    (`_workers`): the calling thread runs the first, a thread pool the
-    others, each with its own buffers. A block's bits do not depend on the
-    thread that computes it. The buffers are allocated once per call, on
-    the calling thread.
+    The parameters are cast to float32 once per call. The rows are cut
+    into near-equal blocks of at most _BLOCK_ROWS rows, and each block goes
+    through every layer on its own. The blocks are shared out in near-equal
+    runs of consecutive blocks, one run per worker (`_workers`): the calling
+    thread runs the first, a thread pool the others, each with its own
+    buffers. A block's bits do not depend on the thread that computes it.
+    The buffers are allocated once per call, on the calling thread.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
@@ -255,16 +270,18 @@ def forward(model: Estimator, features) -> np.ndarray:
     workers = min(_workers(), n_blocks)
     ends = [i * n_blocks // workers for i in range(workers + 1)]
     runs = [bounds[a : b + 1] for a, b in zip(ends[:-1], ends[1:])]
+    weights = [w.astype(np.float32) for w in model.weights]
+    biases = [b.astype(np.float32) for b in model.biases]
     block = min(n, _BLOCK_ROWS)
-    hidden_dims = model.layer_dims[1:-1]
+    dims = model.layer_dims
     buffers = [
         (
-            [np.empty((block, d)) for d in hidden_dims],
-            np.empty(block * max(hidden_dims, default=0)),
+            [np.empty((block, d), np.float32) for d in dims],
+            np.empty(block * max(dims[1:-1], default=0), np.float32),
         )
         for _ in runs
     ]
-    logits = np.empty((n, model.layer_dims[-1]))
+    logits = np.empty((n, dims[-1]))
     pool = None
     if workers > 1:  # imported here: it adds some 10 ms to importing ulre
         from concurrent.futures import ThreadPoolExecutor
@@ -272,10 +289,12 @@ def forward(model: Estimator, features) -> np.ndarray:
         pool = ThreadPoolExecutor(workers - 1)
     try:  # each worker runs in a copy of this context, so np.errstate holds there
         futures = [
-            pool.submit(copy_context().run, _logit_rows, model, x, run, *bufs, logits)
+            pool.submit(
+                copy_context().run, _logit_blocks, weights, biases, x, run, *bufs, logits
+            )
             for run, bufs in zip(runs[1:], buffers[1:])
         ]
-        _logit_rows(model, x, runs[0], *buffers[0], logits)
+        _logit_blocks(weights, biases, x, runs[0], *buffers[0], logits)
         for future in futures:
             future.result()
     finally:
@@ -316,8 +335,8 @@ class _Step:
     def __call__(self, xb, y_onehot, epoch: int):
         model = self.model
         n = xb.shape[0]
-        _logit_rows(model, xb, [0, n], self.h, self.scratch, self.logits)
         z = self.logits[:n]
+        _logit_rows(model.weights, model.biases, xb, self.h, self.scratch, z)
         loss, delta = HEADS[model.head].loss_and_grad(z, y_onehot, epoch)
         delta /= n
         for i in range(len(model.weights) - 1, -1, -1):

@@ -1,9 +1,10 @@
 """Deterministic numeric foundation: separable Gaussian blur,
 bilinear/nearest resampling, and a seeded counter-based random stream.
 
-All arithmetic is 64-bit. The random generator is a fixed algorithm
-(SplitMix64) so identical seeds give identical streams on every platform,
-independent of the numpy version in use.
+All arithmetic here is 64-bit, as is training's; only the network's
+forward pass (`ulre.model.forward`) runs in float32. The random generator
+is a fixed algorithm (SplitMix64) so identical seeds give identical
+streams on every platform, independent of the numpy version in use.
 """
 
 from __future__ import annotations

@@ -284,11 +284,22 @@ class TestExitCodes:
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
-        # mu0 overflows in the true LR's mu0**2; mu1 first in training, where
-        # Adam squares the gradient
-        want = {"mu0": "scalar power", "mu1": "multiply"}.get(key)
-        if want:
-            assert lines == [f"numerical failure: overflow encountered in {want}"]
+        # mu0 and mu1 overflow first in training, as early stopping's
+        # validation rows are cast to float32 for `forward`
+        if key in ("mu0", "mu1"):
+            assert lines == ["numerical failure: overflow encountered in cast"]
+
+    # a feature that is finite in float64 but beyond float32's range
+    # overflows as `forward` casts its block
+    @pytest.mark.parametrize("command", ["score", "extrapolate"])
+    def test_feature_beyond_float32_is_4_with_one_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.cfg", **small_config(tmp_path, command))
+        scene = tmp_path / "scene.ulre"
+        records = read_tensor_file(scene)
+        records["features"][3, 1, 0] = 1e39
+        write_tensor_file(scene, records)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "numerical failure: overflow encountered in cast\n"
 
     @pytest.mark.parametrize(
         "edit",

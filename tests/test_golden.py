@@ -11,15 +11,17 @@ every checkout. The scenes have 97 x 175 = 16,975 rows, so `forward`'s
 last block is not a multiple of 64 rows.
 
 The pins hold only for the OpenBLAS build and CPU kernel they were taken
-with: OpenBLAS 0.3.31 (scipy-openblas64) running its Haswell kernels, as
-`numpy.show_config()` reports them. Another build or kernel may pick other
+with: OpenBLAS 0.3.31 (scipy-openblas64, a DYNAMIC_ARCH build) running its
+SkylakeX kernels, which the library picks at run time and names through
+`scipy_openblas_get_corename64_`; `numpy.show_config()` names the build's
+default target (Haswell) instead. Another build or kernel may pick other
 small-matrix kernels and round some products differently (README), and
 then the pins fail with no change to the code.
 
 A change that moves an output byte on purpose updates the pins and states
 the size of the change and its reason in CHANGES.md. Two more tests check
-that both heads' `score` bytes and the evidential head's `train` bytes are
-the same on 1 and 2 threads.
+that both heads' `score` and `extrapolate` bytes and the evidential head's
+`train` bytes are the same on 1 and 2 threads.
 """
 
 import json
@@ -100,40 +102,40 @@ PINNED = {
         "100f589e6daf34453a8a160f18aaff281e696ab4f0ac837e0d3aaffe1b9822d3"
     ),
     "edl/manifest.json": (
-        "d99855bae4a261f93082f37eb6861e488f2856188e0ef993a0fef8afd28a5f46"
+        "bfd350547bd40fc674856003a2979688110fa48b46668c97102cd3d5bd89f317"
     ),
     "edl/model.ulre": (
         "0a4ef48d3a6fc8ecd9e55d27dbd78c13218ca0df607111d7fdbee929fccbe48d"
     ),
     "edl/train_report.json": (
-        "be17002c3b0569d78d8c90779b599aea5d210bfd6dc408df0fcec2e93990716c"
+        "4bc3c1b276a64c7c9e3165a31e1ed27177791ad6e7f8a11184da438823b089eb"
     ),
     "bce/manifest.json": (
-        "0da716eaa801ffb13e9fecdf73368ee687287d2431f2384bc6aa149d221bc2cf"
+        "3312eedfd46f40fafa1ebb9e0f97b3db6448026370b04334b9ec42008ef240e2"
     ),
     "bce/model.ulre": (
         "dafad28c0aa2dd89a6835ad13d7684a1f1b26b0a59a674f3a3204f4e0d7e5ec4"
     ),
     "bce/train_report.json": (
-        "c662444597fe5e2db71b1093e71e358127429a722a37fcc4b1c8760535310ce3"
+        "341fe6b8167503cb4c1ef37ead69eeb59a51fefbba67b83cb54b127f747bdb85"
     ),
     "score_edl/manifest.json": (
-        "dc8ae375b6c591778323648d1d0bb612189ea42a8452bd3f1bf776c56e9bd512"
+        "31ab06ab77cdfef845c38b83ba960378c6447cfb1c8e845d494efe324777e77c"
     ),
     "score_edl/scores.ulre": (
-        "1223447194cc6a46a7b2d8891be9c449832f1c331bfc0f9ec332c144c40c2eb0"
+        "b055da3c445b82c5a69ed015f38e2694d8e25288486b6cb243529714e5288527"
     ),
     "score_bce/manifest.json": (
-        "8d7722dd76c73068ff006c68d9ddfa494944c263ce6f245e14de902b51aacf6c"
+        "17c789e7f7cc3205920f0e7facdacc728b7e0b4855a1e1662d30ad340b9e256c"
     ),
     "score_bce/scores.ulre": (
-        "28b5ad48f3f2d9c2742bb71b1c5c3483a1d1ebc1ba3db3075ec52343d988a49f"
+        "7eba69136b54d7602d568d537ef42762c46b9b1d143b972af1dff4640e962400"
     ),
     "score_upsampled/manifest.json": (
-        "f53df83406264c02c50b245b8f085145ab57a6d69262c863c865080a90f78ca1"
+        "60a41ba6efa7c89df4affd9c4542178e30969632440e7576eb3145a3aaa36d8c"
     ),
     "score_upsampled/scores.ulre": (
-        "ebfd9f9f3d5ced528bdbe612bc7f9ae84624797b332e8018013ee3e4cac56faf"
+        "fed7014eb696837f9971d872f6a5046554d93e055b70379847b759d590273d8f"
     ),
     "eval/manifest.json": (
         "8d1dde4e186c1c45291d6426232202b7c0a82e977b412fa618576e40a52109d6"
@@ -142,22 +144,22 @@ PINNED = {
         "b1ed8d78bdc8a6f569a5df2f46393459e14a462d74c845be106c6eb41a27ac5c"
     ),
     "extrapolate/extrapolation_bce.csv": (
-        "dc13062319f065e2879e93b4edbf600be15115aa139ad6d14e4ff42d0b334d01"
+        "decd7bdc073c26cf6494272d2870ab5e8c32fe47c35b1c2c0a4a18ea190e1c6e"
     ),
     "extrapolate/extrapolation_edl.csv": (
-        "34dffd12e179e1a7782f87f5a894c6a65046b629211a62492481f97d39c7b9ca"
+        "4342a60401a2c12a63fc23f9b992264cf660c72503990094a347552140899bd5"
     ),
     "extrapolate/manifest.json": (
-        "bae0b9afd42e169316f10b94a572bb94d621e625175faedf658c1b61098fcff9"
+        "eb4c4ca0a578933facd355783bff503851790b6da9b29a2bdb1ed1b343590100"
     ),
     "toy/manifest.json": (
-        "0fd7c836c49edaca2ab59a479ae1ab886e7be2f2320c19e23fa22cd950002894"
+        "27a5c420f4245e94115230efda77d04a5ccafbd2320715241a75838ccf1d0203"
     ),
     "toy/toy_grid.csv": (
-        "8ac78ee7bb91cf68625a9f08daf9f6fb33ef5233ee09727eba0f931749e85b9f"
+        "087334eaff50e83daa7c4625b5b673c281969e969c1febb1c0a486b4a38adf96"
     ),
     "toy/toy_summary.json": (
-        "d9c2df8cf1a5d725d21d4cef96e1b5c9f6c6b3263e90c4797d99709da8cc11ea"
+        "91d1ec889824893795c0c51013bd890fe6b704e1deee7eea2894bf5fe5adee1d"
     ),
 }
 
@@ -192,6 +194,17 @@ def score_maps(prefix: str) -> dict[str, str]:
             _cli("score", out, {"checkpoint": model.name, "features": path.name})
             hashes[f"{model.stem}_{path.stem}"] = cli._sha256(Path(out, "scores.ulre"))
     return hashes
+
+
+def extrapolate_csvs(out: str) -> dict[str, str]:
+    """Run `extrapolate` with `model_edl.ulre` and `model_bce.ulre` in the
+    current directory, from the class means of `classes.ulre` over the rows
+    of `map_384x384.ulre`; return the sha256 of each CSV, keyed by name."""
+    _cli("extrapolate", out, {"train_features": "classes.ulre",
+                              "eval_features": "map_384x384.ulre",
+                              "checkpoint_edl": "model_edl.ulre",
+                              "checkpoint_bce": "model_bce.ulre"})
+    return {p.name: cli._sha256(p) for p in sorted(Path(out).glob("*.csv"))}
 
 
 def train_checkpoint(out: str) -> str:
@@ -231,7 +244,8 @@ def test_score_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 4,096, 16,385, 147,456 and 16,389 rows, each run as 256-row blocks.
     # A one-column product (the sigmoid head's last layer) shares its rows
     # between threads, so one over 16,385 or 16,389 rows gives other bits
-    # on 1 and 2 threads; a block of at most 256 rows does not.
+    # on 1 and 2 threads; a block of at most 256 rows does not. Both heads'
+    # extrapolation CSVs over the 147,456 rows are held to the same.
     rng = np.random.default_rng(5)
     for head, kind in mdl.HEADS.items():
         net = mdl.init_model([16, 256, 64, kind.width], seed=6, head=head)
@@ -240,11 +254,20 @@ def test_score_bytes_do_not_depend_on_blas_threads(tmp_path):
         write_tensor_file(
             tmp_path / f"map_{h}x{w}.ulre", {"features": rng.normal(size=(h, w, 16))}
         )
+    write_tensor_file(
+        tmp_path / "classes.ulre",
+        {"features": rng.normal(size=(64, 64, 16)),
+         "class_ids": rng.integers(0, 3, size=(64, 64), dtype=np.uint8)},
+    )
     one, two = (
-        _in_child(f"test_golden.score_maps('t{n}')", tmp_path, blas_threads=n)
+        _in_child(
+            f"[test_golden.score_maps('t{n}'), test_golden.extrapolate_csvs('x{n}')]",
+            tmp_path,
+            blas_threads=n,
+        )
         for n in (1, 2)
     )
-    assert len(one) == 8
+    assert [len(part) for part in one] == [8, 2]
     assert one == two
 
 

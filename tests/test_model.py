@@ -11,6 +11,7 @@ import pytest
 
 from ulre import evidential as ev
 from ulre import model as mdl
+from ulre.data import sample_unit_directions
 from ulre.numkernel import Rng
 
 
@@ -23,25 +24,28 @@ def make_blobs(n=600, separation=10.0, seed=0):
     return x, y
 
 
-def reference_forward_rows(model, x):
-    """Logits of all rows of x in one pass, one layer's activations at a
-    time."""
-    h = x
+def reference_forward_rows(model, x, dtype=np.float32):
+    """float64 logits of all rows of x in one pass computed in `dtype` (that
+    of `forward` by default), one layer's activations at a time."""
+    h = x.astype(dtype)
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w
-        z += b
+        z = h @ w.astype(dtype)
+        z += b.astype(dtype)
         if i < last:
             np.maximum(z, 0.01 * z, out=z)
         h = z
-    return h
+    return h.astype(np.float64)
 
 
-def reference_forward_blocks(model, x):
+def reference_forward_blocks(model, x, dtype=np.float32):
     """Logits of x one `forward` block at a time, each block in one pass."""
     bounds = mdl._cuts(x.shape[0], mdl._BLOCK_ROWS)
     return np.concatenate(
-        [reference_forward_rows(model, x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        [
+            reference_forward_rows(model, x[lo:hi], dtype)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
     )
 
 
@@ -103,7 +107,9 @@ class TestForward:
         m = mdl.init_model([3, 2], seed=6)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(mdl.forward(m, x), x @ m.weights[0] + m.biases[0])
+        f32 = np.float32
+        want = x.astype(f32) @ m.weights[0].astype(f32) + m.biases[0].astype(f32)
+        np.testing.assert_allclose(mdl.forward(m, x), want)
 
     def test_leaky_relu_slope(self):
         m = mdl.Estimator(
@@ -145,32 +151,72 @@ class TestForward:
             want = reference_forward_blocks(m, x)
             np.testing.assert_array_equal(mdl.forward(m, x), want)
 
+    def test_float32_scores_stay_near_float64(self):
+        # 16-256-64 nets of both heads, trained on clusters as in the
+        # acceptance tests' paired study, scored on their training rows and
+        # on rows far from them (|logit| up to about 70). Against the float64
+        # pass over the same blocks, the largest relative change measured
+        # 1.3e-5 (evidential LR) and 7.6e-6 (sigmoid P(OOD)) here, and at
+        # most 1.8e-5 over seeds 0-5; the bound leaves 2.7x headroom.
+        d = 16
+        rng = Rng(0)
+        dirs = sample_unit_directions(d, 4, 0.5, rng)
+
+        def around(center, sigma, n):
+            return center + sigma * rng.standard_normal(n * d).reshape(n, d)
+
+        x = np.concatenate(
+            [around(dirs[k], 0.1, 1_000) for k in range(3)]
+            + [around(dirs[3], 0.8, 3_000)]
+        )
+        y = np.repeat([0, 1], [3_000, 3_000])
+        rows = np.concatenate([x, around(0.0, 4.0, 4_096)])
+        cfg = mdl.TrainConfig(epochs=5, learning_rate=1e-3, batch_size=1_024, seed=1)
+        for head, kind in mdl.HEADS.items():
+            net = mdl.init_model([d, 256, 64, kind.width], 3, head)
+            m, _ = mdl.train(net, x, y, cfg)
+            got, want = (
+                kind.score(kind.output(z)) if head == "evidential" else kind.prob(z)
+                for z in (
+                    mdl.forward(m, rows),
+                    reference_forward_blocks(m, rows, np.float64),
+                )
+            )
+            assert np.max(np.abs(got - want) / want) < 5e-5
+
     @pytest.mark.parametrize("slope", [0.01])  # the one leaky-ReLU slope
     def test_activation_kernels_match_where_forms(self, slope):
-        tiny = np.finfo(np.float64).smallest_subnormal
-        z = np.array(
-            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
-             3 * tiny, -3 * tiny, 1e-310, -1e-310, 1.5, -2.5, 1e308, -1e308]
-        )
-        # one hidden unit whose pre-activation is z: x @ [[1]] + (-0.0)
-        # keeps every value, though the matmul turns -0.0 into 0.0; the
-        # last layer copies it, so that no product overflows
-        m = mdl.init_model([1, 1, 2], seed=0)
-        m.weights[0][...] = m.weights[1][...] = 1.0
-        m.biases[0][...] = -0.0
-        x = z[:, None]
-        pre = x @ m.weights[0] + m.biases[0]
-        assert np.array_equal(pre, x, equal_nan=True)
-        h, logits = np.empty_like(x), np.empty((len(z), 2))
-        mdl._logit_rows(m, x, [0, len(z)], [h], np.empty(len(z)), logits)
-        act = np.maximum(z, slope * z)
-        grad = np.where(z > 0.0, 1.0, slope)
-        for got, want in (
-            (h, np.where(pre > 0.0, pre, slope * pre)),
-            (mdl._leaky_grad(act), grad),
-            (mdl._leaky_grad((a := act.copy()), out=a), grad),  # in place
+        # the layer kernel in float32 (`forward`) and float64 (`_Step`), the
+        # gradient mask in float64 (`_Step`); `small` is a subnormal
+        for dtype, uint, small, big in (
+            (np.float32, np.uint32, 1e-40, 1e38),
+            (np.float64, np.uint64, 1e-310, 1e308),
         ):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            tiny = np.finfo(dtype).smallest_subnormal
+            z = np.array(
+                [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                 3 * tiny, -3 * tiny, small, -small, 1.5, -2.5, big, -big],
+                dtype,
+            )
+            # one hidden unit whose pre-activation is z: x @ [[1]] + (-0.0)
+            # keeps every value, though the matmul turns -0.0 into 0.0; the
+            # last layer copies it, so that no product overflows
+            weights = [np.ones((1, 1), dtype), np.ones((1, 2), dtype)]
+            biases = [np.full(1, -0.0, dtype), np.zeros(2, dtype)]
+            x = z[:, None]
+            pre = x @ weights[0] + biases[0]
+            assert np.array_equal(pre, x, equal_nan=True)
+            h, logits = np.empty_like(x), np.empty((len(z), 2), dtype)
+            mdl._logit_rows(weights, biases, x, [h], np.empty(len(z), dtype), logits)
+            want = np.where(pre > 0.0, pre, slope * pre)
+            np.testing.assert_array_equal(h.view(uint), want.view(uint))
+        act = np.maximum(z, slope * z)  # z is the float64 row here
+        grad = np.where(z > 0.0, 1.0, slope)
+        for got in (
+            mdl._leaky_grad(act),
+            mdl._leaky_grad((a := act.copy()), out=a),  # in place
+        ):
+            np.testing.assert_array_equal(got.view(np.uint64), grad.view(np.uint64))
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -599,11 +645,12 @@ class TestPredictMap:
             mdl.predict_map(m, np.zeros((4, 4, 5)))
 
     def test_peak_memory_is_bounded(self):
-        # `forward` holds 256-row blocks of every hidden layer, 1.1 MiB per
-        # worker, besides the 1 MiB of logits, in which the head computes its
-        # output. The peak read 3.0 MiB on one worker and 4.0 MiB on two
-        # (10.1 and 11.7 MiB with a 16,384-row last hidden activation, near
-        # 400 MiB in one pass over all rows).
+        # `forward` holds float32 256-row blocks of every layer and a scratch
+        # block, 0.58 MiB per worker, besides the 1 MiB of logits, in which
+        # the head computes its output. In a process of its own the peak read
+        # 1.7 MiB on one worker and 2.9 MiB on two (2.2 and 4.0 MiB with
+        # float64 blocks, 10.1 and 11.7 MiB with a 16,384-row last hidden
+        # activation, near 400 MiB in one pass over all rows).
         m = mdl.init_model([16, 256, 64, 2], seed=33)
         fmap = np.random.default_rng(34).normal(size=(256, 256, 16))
         tracemalloc.start()
