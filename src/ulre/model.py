@@ -4,7 +4,8 @@ The estimator is a stack of affine layers with leaky-ReLU activations,
 applied to each feature vector independently (the 1x1-convolution property:
 no cross-pixel mixing), with either an evidential two-logit head or a
 single-logit sigmoid head. Training is mini-batch Adam, fully deterministic
-given the config seed, with optional early stopping on held-out rows.
+given the config seed, with optional early stopping on held-out rows. The
+layers run in float32; the parameters, the loss and Adam are float64.
 """
 
 from __future__ import annotations
@@ -173,8 +174,8 @@ def init_model(layer_dims, seed: int, head: str = "evidential") -> Estimator:
 
 
 def _leaky_grad(h: np.ndarray, out=None) -> np.ndarray:
-    """The float mask (h > 0) * (1 - _SLOPE) + _SLOPE; `out` may be h."""
-    mask = np.greater(h, 0.0, out=out).astype(np.float64, copy=False)
+    """The mask (h > 0) * (1 - _SLOPE) + _SLOPE in h's dtype; `out` may be h."""
+    mask = np.greater(h, 0.0, out=out).astype(h.dtype, copy=False)
     mask *= 1.0 - _SLOPE
     mask += _SLOPE
     return mask
@@ -314,40 +315,58 @@ def _views(flat: np.ndarray, layer_dims: list[int]):
 
 class _Step:
     """Mean loss and parameter gradients of one mini-batch of up to `rows`
-    rows, computed in buffers allocated once: one activation h per hidden
-    layer and the logits, which `_logit_rows` fills with the batch as one
-    block, and a scratch of rows x the widest hidden layer. Backward, once
-    a layer's weight gradient has read h, h becomes the leaky-ReLU mask,
-    delta @ W.T goes into the scratch, and their product (the next delta)
-    into h. Each call overwrites the flat `grad` (see `_views`) and returns
-    its views.
+    rows, with the layers and the backward pass run in `dtype`.
+
+    `train` gives float32 against float64 master parameters, the scheme of
+    Micikevicius et al., "Mixed Precision Training" (ICLR 2018): each call
+    copies the model's parameters into a `dtype` vector laid out by
+    `_views`, while the head's loss and logit gradient and the flat
+    gradient `grad` that Adam reads are float64. The buffers are allocated
+    once, in `dtype`: the batch, one activation h per hidden layer and the
+    logits, which `_logit_rows` fills with the batch as one block, and a
+    scratch of rows x the widest hidden layer. The logits then take the
+    head's logit gradient / n. Backward, once a layer's weight gradient has
+    read h, h becomes the leaky-ReLU mask, delta @ W.T goes into the
+    scratch, and their product (the next delta) into h. Each call
+    overwrites `grad` and returns the `dtype` gradient's views.
     """
 
-    def __init__(self, model: Estimator, rows: int):
+    def __init__(self, model: Estimator, rows: int, dtype):
         self.model = model
-        hidden = model.layer_dims[1:-1]
-        self.h = [np.empty((rows, d)) for d in hidden]
-        self.logits = np.empty((rows, model.layer_dims[-1]))
-        self.scratch = np.empty(rows * max(hidden, default=0))
-        self.grad = np.empty(sum(p.size for p in model.weights + model.biases))
-        self.grads_w, self.grads_b = _views(self.grad, model.layer_dims)
+        dims = model.layer_dims
+        hidden = dims[1:-1]
+        self.grad = np.zeros(sum(p.size for p in model.weights + model.biases))
+        self.params = np.empty(self.grad.size, dtype)
+        self.weights, self.biases = _views(self.params, dims)
+        self.x = np.empty((rows, dims[0]), dtype)
+        self.h = [np.empty((rows, d), dtype) for d in hidden]
+        self.logits = np.empty((rows, dims[-1]), dtype)
+        self.scratch = np.empty(rows * max(hidden, default=0), dtype)
+        self.g = self.grad.astype(dtype, copy=False)  # `grad` itself in float64
+        self.grads_w, self.grads_b = _views(self.g, dims)
 
     def __call__(self, xb, y_onehot, epoch: int):
         model = self.model
+        for view, p in zip(self.weights + self.biases, model.weights + model.biases):
+            view[...] = p
         n = xb.shape[0]
+        x = self.x[:n]
+        x[...] = xb
         z = self.logits[:n]
-        _logit_rows(model.weights, model.biases, xb, self.h, self.scratch, z)
-        loss, delta = HEADS[model.head].loss_and_grad(z, y_onehot, epoch)
-        delta /= n
-        for i in range(len(model.weights) - 1, -1, -1):
-            h = self.h[i - 1][:n] if i > 0 else xb
+        _logit_rows(self.weights, self.biases, x, self.h, self.scratch, z)
+        z64 = z.astype(np.float64, copy=False)  # z itself in float64
+        loss, delta = HEADS[model.head].loss_and_grad(z64, y_onehot, epoch)
+        delta = np.divide(delta, n, out=z)
+        for i in range(len(self.weights) - 1, -1, -1):
+            h = self.h[i - 1][:n] if i > 0 else x
             np.matmul(h.T, delta, out=self.grads_w[i])
             np.sum(delta, axis=0, out=self.grads_b[i])
             if i > 0:
                 mask = _leaky_grad(h, out=h)
                 back = self.scratch[: h.size].reshape(h.shape)
-                np.matmul(delta, model.weights[i].T, out=back)
+                np.matmul(delta, self.weights[i].T, out=back)
                 delta = np.multiply(back, mask, out=h)
+        self.grad[...] = self.g
         return loss, self.grads_w, self.grads_b
 
 
@@ -429,7 +448,7 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
     n_train = x_train.shape[0]
 
     report = TrainReport(n_train=n_train, n_val=n_val)
-    step = _Step(model, cfg.batch_size)
+    step = _Step(model, cfg.batch_size, np.float32)
     params = np.empty_like(step.grad)
     weights, biases = _views(params, model.layer_dims)
     for view, p in zip(weights + biases, model.weights + model.biases):

@@ -1,8 +1,8 @@
 """Deterministic numeric foundation: separable Gaussian blur,
 bilinear/nearest resampling, and a seeded counter-based random stream.
 
-All arithmetic here is 64-bit, as is training's; only the network's
-forward pass (`ulre.model.forward`) runs in float32. The random generator
+All arithmetic here is 64-bit; only the network's layers run in float32,
+in `ulre.model.forward` and in the training step. The random generator
 is a fixed algorithm (SplitMix64) so identical seeds give identical
 streams on every platform, independent of the numpy version in use.
 """

@@ -47,16 +47,16 @@ def test_a1_gradient_correctness():
     step = 1e-3
     worst = 0.0
     for epoch in (0, 20):
-        _, gw, gb = mdl._Step(model, len(x))(x, y, epoch)
+        _, gw, gb = mdl._Step(model, len(x), np.float64)(x, y, epoch)
         for params, grads in ((model.weights, gw), (model.biases, gb)):
             for p, g in zip(params, grads):
                 flat_p, flat_g = p.ravel(), g.ravel()
                 for k in range(flat_p.size):
                     orig = flat_p[k]
                     flat_p[k] = orig + step
-                    lp = mdl._Step(model, len(x))(x, y, epoch)[0]
+                    lp = mdl._Step(model, len(x), np.float64)(x, y, epoch)[0]
                     flat_p[k] = orig - step
-                    lm = mdl._Step(model, len(x))(x, y, epoch)[0]
+                    lm = mdl._Step(model, len(x), np.float64)(x, y, epoch)[0]
                     flat_p[k] = orig
                     fd = (lp - lm) / (2 * step)
                     rel = abs(flat_g[k] - fd) / max(1e-12, abs(flat_g[k]) + abs(fd))

@@ -246,11 +246,9 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
 
-    # features of 1e308 overflow the first layer
-    @pytest.mark.parametrize("head", ["sigmoid", "evidential"])
-    def test_numerical_failure_is_4(self, tmp_path, capsys, head):
+    def train_on_constant_features(self, tmp_path, head, value):
         feat = tmp_path / "f.ulre"
-        write_tensor_file(feat, {"features": np.full((8, 8, 2), 1e308)})
+        write_tensor_file(feat, {"features": np.full((8, 8, 2), value)})
         lab = tmp_path / "l.ulre"
         labels = np.zeros((8, 8), dtype=np.uint8)
         labels[:4] = 1
@@ -264,8 +262,20 @@ class TestExitCodes:
             epochs=1,
             learning_rate="1e-3",
         )
-        out = tmp_path / "out"
-        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 4
+        return cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    # features of 1e308 overflow as the training step casts its batch to
+    # float32
+    @pytest.mark.parametrize("head", ["sigmoid", "evidential"])
+    def test_numerical_failure_is_4(self, tmp_path, capsys, head):
+        assert self.train_on_constant_features(tmp_path, head, 1e308) == 4
+        err = capsys.readouterr().err
+        assert err == "numerical failure: overflow encountered in cast\n"
+
+    # features of 3e38 fit in float32 and overflow the first layer's matmul
+    @pytest.mark.parametrize("head", ["sigmoid", "evidential"])
+    def test_float32_layer_overflow_is_4(self, tmp_path, capsys, head):
+        assert self.train_on_constant_features(tmp_path, head, 3e38) == 4
         err = capsys.readouterr().err
         assert err == "numerical failure: overflow encountered in matmul\n"
 

@@ -102,40 +102,40 @@ PINNED = {
         "100f589e6daf34453a8a160f18aaff281e696ab4f0ac837e0d3aaffe1b9822d3"
     ),
     "edl/manifest.json": (
-        "bfd350547bd40fc674856003a2979688110fa48b46668c97102cd3d5bd89f317"
+        "4cc7d9b457c9599e3e2537f837954e084ff5be707492d92737d98a2009938293"
     ),
     "edl/model.ulre": (
-        "0a4ef48d3a6fc8ecd9e55d27dbd78c13218ca0df607111d7fdbee929fccbe48d"
+        "f8dbe62de85b8d61ec91fe80070bb93ed9535147f5dea2b128f97d954c668d76"
     ),
     "edl/train_report.json": (
-        "4bc3c1b276a64c7c9e3165a31e1ed27177791ad6e7f8a11184da438823b089eb"
+        "25d782207607aa8839c53c726baadb79bd5057c0c3422a1ff03bb28d66bb1648"
     ),
     "bce/manifest.json": (
-        "3312eedfd46f40fafa1ebb9e0f97b3db6448026370b04334b9ec42008ef240e2"
+        "ffd28499e75ac53f25b0a0f9a9902eed16e82df42d5021c7651b60899e872aab"
     ),
     "bce/model.ulre": (
-        "dafad28c0aa2dd89a6835ad13d7684a1f1b26b0a59a674f3a3204f4e0d7e5ec4"
+        "4ce3c0d6320a00fdfaa4f35a1a60126065d9bc3f3416f3fc388792c8e5a70fd1"
     ),
     "bce/train_report.json": (
-        "341fe6b8167503cb4c1ef37ead69eeb59a51fefbba67b83cb54b127f747bdb85"
+        "78219fa9063388009e3fe930c4e214043ae8b2b096ae39208a1720cd789ab701"
     ),
     "score_edl/manifest.json": (
-        "31ab06ab77cdfef845c38b83ba960378c6447cfb1c8e845d494efe324777e77c"
+        "65b402efdad1e4c48d70d598b137f6f5b2274042eb8fd69a07279a5209cb3df2"
     ),
     "score_edl/scores.ulre": (
-        "b055da3c445b82c5a69ed015f38e2694d8e25288486b6cb243529714e5288527"
+        "fb1e8cc1a5178670dc2f355bf08ef57d71554849028ad5c5ce8fea35bdacbe78"
     ),
     "score_bce/manifest.json": (
-        "17c789e7f7cc3205920f0e7facdacc728b7e0b4855a1e1662d30ad340b9e256c"
+        "df041741ce011d05f211c8438b8c57d3cf607e802a39ab4c3f15425665e1edf2"
     ),
     "score_bce/scores.ulre": (
-        "7eba69136b54d7602d568d537ef42762c46b9b1d143b972af1dff4640e962400"
+        "286d4e90d5bc6ac715ac9a9b36dedb964d00886885217161959634b959e846d2"
     ),
     "score_upsampled/manifest.json": (
-        "60a41ba6efa7c89df4affd9c4542178e30969632440e7576eb3145a3aaa36d8c"
+        "8398f4eaa49f78e429b5b2ad07c820c42c70e2d2a027027308bd7c3a8cac90fa"
     ),
     "score_upsampled/scores.ulre": (
-        "fed7014eb696837f9971d872f6a5046554d93e055b70379847b759d590273d8f"
+        "96d275cbaea33a40715a06d1ba223406eebcdeb5e9c7d92c23de0eff318d8a3d"
     ),
     "eval/manifest.json": (
         "8d1dde4e186c1c45291d6426232202b7c0a82e977b412fa618576e40a52109d6"
@@ -144,22 +144,22 @@ PINNED = {
         "b1ed8d78bdc8a6f569a5df2f46393459e14a462d74c845be106c6eb41a27ac5c"
     ),
     "extrapolate/extrapolation_bce.csv": (
-        "decd7bdc073c26cf6494272d2870ab5e8c32fe47c35b1c2c0a4a18ea190e1c6e"
+        "cb0279a3ebe02d407482716205242933de09fd48da2e5a970c38942dfb03f04f"
     ),
     "extrapolate/extrapolation_edl.csv": (
-        "4342a60401a2c12a63fc23f9b992264cf660c72503990094a347552140899bd5"
+        "bef05584508120cbfb1a4da6e408d8b411c92d8ef8041223c6f1571666ac794a"
     ),
     "extrapolate/manifest.json": (
-        "eb4c4ca0a578933facd355783bff503851790b6da9b29a2bdb1ed1b343590100"
+        "01f46c26c0e6dee1ea186dec1c53f57d402569491f611d173f12da742b42caeb"
     ),
     "toy/manifest.json": (
-        "27a5c420f4245e94115230efda77d04a5ccafbd2320715241a75838ccf1d0203"
+        "8e05963ac4966c4becf77e587f38efe5aa62eff3dead80dd7c3a8c4cc71edb70"
     ),
     "toy/toy_grid.csv": (
-        "087334eaff50e83daa7c4625b5b673c281969e969c1febb1c0a486b4a38adf96"
+        "f0d1847b0a955c48c3618c777a4f8577bfbf86f00526eb7195a4a70723768a03"
     ),
     "toy/toy_summary.json": (
-        "91d1ec889824893795c0c51013bd890fe6b704e1deee7eea2894bf5fe5adee1d"
+        "21f5b165067fd1b11747f77fbc3f8125605d056e8db12989bd4ed62510c2aec0"
     ),
 }
 

@@ -156,8 +156,8 @@ class TestForward:
         # acceptance tests' paired study, scored on their training rows and
         # on rows far from them (|logit| up to about 70). Against the float64
         # pass over the same blocks, the largest relative change measured
-        # 1.3e-5 (evidential LR) and 7.6e-6 (sigmoid P(OOD)) here, and at
-        # most 1.8e-5 over seeds 0-5; the bound leaves 2.7x headroom.
+        # 1.3e-5 (evidential LR) and 8.6e-6 (sigmoid P(OOD)) here, and at
+        # most 1.7e-5 over seeds 0-5; the bound leaves 2.9x headroom.
         d = 16
         rng = Rng(0)
         dirs = sample_unit_directions(d, 4, 0.5, rng)
@@ -186,8 +186,9 @@ class TestForward:
 
     @pytest.mark.parametrize("slope", [0.01])  # the one leaky-ReLU slope
     def test_activation_kernels_match_where_forms(self, slope):
-        # the layer kernel in float32 (`forward`) and float64 (`_Step`), the
-        # gradient mask in float64 (`_Step`); `small` is a subnormal
+        # the layer kernel and the step's gradient mask in float32 (`forward`
+        # and `train`) and float64 (the step of the gradient tests); `small`
+        # is a subnormal
         for dtype, uint, small, big in (
             (np.float32, np.uint32, 1e-40, 1e38),
             (np.float64, np.uint64, 1e-310, 1e308),
@@ -210,13 +211,14 @@ class TestForward:
             mdl._logit_rows(weights, biases, x, [h], np.empty(len(z), dtype), logits)
             want = np.where(pre > 0.0, pre, slope * pre)
             np.testing.assert_array_equal(h.view(uint), want.view(uint))
-        act = np.maximum(z, slope * z)  # z is the float64 row here
-        grad = np.where(z > 0.0, 1.0, slope)
-        for got in (
-            mdl._leaky_grad(act),
-            mdl._leaky_grad((a := act.copy()), out=a),  # in place
-        ):
-            np.testing.assert_array_equal(got.view(np.uint64), grad.view(np.uint64))
+            act = np.maximum(z, slope * z)
+            grad = np.where(z > 0.0, 1.0, slope).astype(dtype)
+            for got in (
+                mdl._leaky_grad(act),
+                mdl._leaky_grad((a := act.copy()), out=a),  # in place
+            ):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got.view(uint), grad.view(uint))
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -320,7 +322,7 @@ class TestBackprop:
         y = ev.one_hot(rng.integers(0, 2, 16))
         step = 1e-3
         for epoch in (0, 20):
-            _, gw, gb = mdl._Step(m, len(x))(x, y, epoch)
+            _, gw, gb = mdl._Step(m, len(x), np.float64)(x, y, epoch)
             worst = 0.0
             for params, grads in ((m.weights, gw), (m.biases, gb)):
                 for p, g in zip(params, grads):
@@ -328,9 +330,9 @@ class TestBackprop:
                     for k in range(flat_p.size):
                         orig = flat_p[k]
                         flat_p[k] = orig + step
-                        lp = mdl._Step(m, len(x))(x, y, epoch)[0]
+                        lp = mdl._Step(m, len(x), np.float64)(x, y, epoch)[0]
                         flat_p[k] = orig - step
-                        lm = mdl._Step(m, len(x))(x, y, epoch)[0]
+                        lm = mdl._Step(m, len(x), np.float64)(x, y, epoch)[0]
                         flat_p[k] = orig
                         fd = (lp - lm) / (2 * step)
                         rel = abs(flat_g[k] - fd) / max(
@@ -339,17 +341,40 @@ class TestBackprop:
                         worst = max(worst, rel)
             assert worst <= 1e-4
 
+    def test_float32_step_stays_near_float64(self):
+        # `train`'s float32 step against the float64 one on the same batch,
+        # at epochs 0 and 20: A1's net and data, and 16-256-64 nets at 1,024
+        # rows, both heads. Here the largest relative loss change measured
+        # 1.6e-8 and the largest gradient change 6.5e-7 of the largest |g|;
+        # over ten seeds of nets and data, at most 3.9e-8 and 1.03e-6. The
+        # bounds leave 2.6x and 2.9x headroom.
+        for dims, rows in (([4, 8], 16), ([16, 256, 64], 1_024)):
+            for head, kind in mdl.HEADS.items():
+                m = mdl.init_model([*dims, kind.width], 101, head)
+                rng = np.random.default_rng(202)
+                x = rng.normal(size=(rows, dims[0]))
+                y = ev.one_hot(rng.integers(0, 2, rows))
+                for epoch in (0, 20):
+                    want, got = (
+                        mdl._Step(m, rows, dtype) for dtype in (np.float64, np.float32)
+                    )
+                    want_loss, got_loss = want(x, y, epoch)[0], got(x, y, epoch)[0]
+                    assert abs(got_loss - want_loss) < 1e-7 * abs(want_loss)
+                    worst = np.max(np.abs(got.grad - want.grad))
+                    assert worst < 3e-6 * np.max(np.abs(want.grad))
+
 
 # The training step as it was before the buffered step and in-place Adam:
 # fresh activation, delta, gradient and Adam arrays for every batch, with
-# the activation kernels in their np.where forms. The buffered step must
+# the activation kernels in their np.where forms. The network and its
+# backward pass run in `dtype`, the head in float64. The buffered step must
 # reproduce it bit for bit.
-def _reference_forward_cached(model, x):
+def _reference_forward_cached(weights, biases, x):
     acts = [x]
     pres = []
     h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w + b
         pres.append(z)
         h = np.where(z > 0.0, z, 0.01 * z) if i < last else z
@@ -357,23 +382,25 @@ def _reference_forward_cached(model, x):
     return acts, pres
 
 
-def _reference_backward(model, acts, pres, dlogits):
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+def _reference_backward(weights, acts, pres, dlogits):
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
     delta = dlogits
-    for i in range(len(model.weights) - 1, -1, -1):
+    for i in range(len(weights) - 1, -1, -1):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * np.where(
+            delta = (delta @ weights[i].T) * np.where(
                 pres[i - 1] > 0.0, 1.0, 0.01
-            )
+            ).astype(delta.dtype)
     return grads_w, grads_b
 
 
-def _reference_batch(model, xb, y_onehot, epoch):
-    acts, pres = _reference_forward_cached(model, xb)
-    logits = acts[-1]
+def _reference_batch(model, xb, y_onehot, epoch, dtype):
+    weights = [w.astype(dtype) for w in model.weights]
+    biases = [b.astype(dtype) for b in model.biases]
+    acts, pres = _reference_forward_cached(weights, biases, xb.astype(dtype))
+    logits = acts[-1].astype(np.float64)
     n = xb.shape[0]
     if model.head == "evidential":
         alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
@@ -385,7 +412,8 @@ def _reference_batch(model, xb, y_onehot, epoch):
         z, y1 = logits[:, 0], y_onehot[:, 1]
         loss = float(np.mean(ev.bce_loss_from_logit(z, y1)))
         dlogits = (ev.bce_grad_from_logit(z, y1) / n)[:, None]
-    return (loss, *_reference_backward(model, acts, pres, dlogits))
+    grads = _reference_backward(weights, acts, pres, dlogits.astype(dtype))
+    return (loss, *([g.astype(np.float64) for g in gs] for gs in grads))
 
 
 def _reference_train(model, x, labels, cfg):
@@ -413,7 +441,7 @@ def _reference_train(model, x, labels, cfg):
         for start in range(0, x_train.shape[0], cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             xb, yb = x_train[batch], y_train[batch]
-            loss, gw, gb = _reference_batch(model, xb, yb, epoch)
+            loss, gw, gb = _reference_batch(model, xb, yb, epoch, np.float32)
             t += 1
             bc1 = 1.0 - beta1**t
             bc2 = 1.0 - beta2**t
@@ -485,29 +513,32 @@ class TestBufferedStep:
         # activations; one step serves batches of 1 and 50 of its 64 rows
         assert mdl._SLOPE == slope
         m = mdl.init_model(dims, seed=38, head=head)
-        step = mdl._Step(m, 64)
+        step = mdl._Step(m, 64, np.float64)
         rng = np.random.default_rng(39)
         for rows in (1, 50):
             x = rng.normal(size=(rows, 3))
             y = ev.one_hot(rng.integers(0, 2, rows))
             for epoch in (0, 4, 12):
                 loss, gw, gb = step(x, y, epoch)
-                want_loss, want_w, want_b = _reference_batch(m, x, y, epoch)
+                want_loss, want_w, want_b = _reference_batch(m, x, y, epoch, np.float64)
                 assert loss == want_loss
                 for a, b in zip(gw + gb, want_w + want_b):
                     assert np.array_equal(a, b)
 
     def test_step_buffers_are_bounded(self):
-        # one activation per hidden layer, the logits and a scratch of the
-        # widest layer: 4.68 MiB; with a pre-activation per layer, 5.18 MiB
+        # the parameters, the batch, one activation per hidden layer, the
+        # logits, a scratch of the widest layer and the gradient: 4.96 MiB in
+        # float64 and 2.64 MiB in float32, which adds a float64 gradient; a
+        # pre-activation per layer would add 2.5 and 1.25 MiB
         m = mdl.init_model([16, 256, 64, 2], seed=40)
-        tracemalloc.start()
-        try:
-            step = mdl._Step(m, 1024)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert step.grad.nbytes < held < 5 * 2**20
+        for dtype, bound in ((np.float64, 5 * 2**20), (np.float32, 3 * 2**20)):
+            tracemalloc.start()
+            try:
+                step = mdl._Step(m, 1024, dtype)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert step.grad.nbytes < held < bound
 
 
 class TestAdam:
