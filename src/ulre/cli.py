@@ -494,7 +494,7 @@ def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
     missing = sorted(set(expected.tolist()) - set(present.tolist()))
     if missing:
         raise DataError(f"extrapolate: class ids missing from class_ids: {missing}")
-    means = class_means(feats.reshape(-1, feats.shape[2]), flat_ids)
+    unit_means = class_means(feats.reshape(-1, feats.shape[2]), flat_ids)
 
     [emap] = _records(resolved["eval_features"], features=3)
     if emap.shape[2] != feats.shape[2]:
@@ -512,7 +512,7 @@ def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
             )
         probs = head.prob(mdl.forward(model, rows))
         analysis = metrics.extrapolation_analysis(
-            rows, means, probs, resolved["bin_width"]
+            rows, unit_means, probs, resolved["bin_width"]
         )
         name = f"extrapolation_{head.tag}.csv"
         (out_dir / name).write_text(metrics.binned_csv(analysis), "utf-8")

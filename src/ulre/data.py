@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .numkernel import CHUNK, Rng, resize_nearest, upsample_bilinear
 __all__ = [
     "DataError",
     "TensorFileError",
-    "ClassMeans",
     "write_tensor_file",
     "read_tensor_file",
     "check_finite",
@@ -44,6 +42,8 @@ TENSOR_MAGIC = b"ULRE"
 TENSOR_FORMAT_VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("u1")}
 _CODE_FOR_KIND = {"f": 0, "u": 1}
+# draws before anomaly_mix and sample_unit_directions give up
+_MIX_TRIES, _DIRECTION_TRIES = 10, 1000
 
 
 def write_tensor_file(path, records: dict[str, np.ndarray]) -> None:
@@ -229,7 +229,6 @@ def anomaly_mix(
     mask,
     rng: Rng,
     scale_range: tuple[float, float] = (0.5, 2.0),
-    max_retries: int = 10,
 ):
     """Cut-resize-paste compositing of an outlier object into a raster.
 
@@ -261,7 +260,7 @@ def anomaly_mix(
 
     th, tw = target.shape[:2]
     oh, ow = obj.shape[:2]
-    for _ in range(max_retries):
+    for _ in range(_MIX_TRIES):
         scale = float(rng.uniform_range(1, lo, hi)[0])
         new_h = max(1, int(round(oh * scale)))
         new_w = max(1, int(round(ow * scale)))
@@ -281,7 +280,7 @@ def anomaly_mix(
         return target, label
     raise DataError(
         f"anomaly_mix: no admissible scale in {scale_range} after "
-        f"{max_retries} tries (object {oh}x{ow} into target {th}x{tw})"
+        f"{_MIX_TRIES} tries (object {oh}x{ow} into target {th}x{tw})"
     )
 
 
@@ -290,7 +289,6 @@ def sample_unit_directions(
     count: int,
     min_angle: float,
     rng: Rng,
-    max_tries: int = 1000,
     avoid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Random unit vectors pairwise separated by at least min_angle radians.
@@ -305,7 +303,7 @@ def sample_unit_directions(
         [] if avoid is None else list(np.asarray(avoid, dtype=np.float64))
     )
     n_avoid = len(chosen)
-    for _ in range(max_tries):
+    for _ in range(_DIRECTION_TRIES):
         v = rng.standard_normal(dim)
         norm = np.linalg.norm(v)
         if norm == 0.0:
@@ -317,7 +315,7 @@ def sample_unit_directions(
                 return np.stack(chosen[n_avoid:])
     raise ValueError(
         f"sample_unit_directions: could not place {count} directions in "
-        f"{dim}-D with min angle {min_angle} after {max_tries} draws"
+        f"{dim}-D with min angle {min_angle} after {_DIRECTION_TRIES} draws"
     )
 
 
@@ -416,18 +414,9 @@ def make_feature_object(
     return obj
 
 
-@dataclass(frozen=True)
-class ClassMeans:
-    """Per-class mean feature vectors, raw and unit-normalized."""
-
-    ids: np.ndarray  # (K,) sorted class ids present
-    means: np.ndarray  # (K, D) arithmetic means
-    unit_means: np.ndarray  # (K, D) normalized copies
-    counts: np.ndarray  # (K,) rows per class
-
-
-def class_means(features, class_ids) -> ClassMeans:
-    """Arithmetic mean feature vector per observed class id.
+def class_means(features, class_ids) -> np.ndarray:
+    """Unit-normalized arithmetic mean feature vector per observed class id,
+    as (K, D) rows in ascending id order.
 
     A class whose raw mean has zero norm cannot be normalized and is a data
     error (it would make cosine distances undefined).
@@ -446,4 +435,4 @@ def class_means(features, class_ids) -> ClassMeans:
     if np.any(norms == 0.0):
         bad = uniq[norms == 0.0][0]
         raise DataError(f"class_means: class {bad} mean has zero norm")
-    return ClassMeans(uniq, means, means / norms[:, None], counts)
+    return means / norms[:, None]

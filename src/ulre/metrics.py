@@ -10,13 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassMeans, DataError
+from .data import DataError
 from .numkernel import gaussian_blur, upsample_bilinear
 
 __all__ = [
     "BinnedAnalysis",
     "postprocess_scores",
-    "ap_and_fpr95",
     "pooled_ap_and_fpr95",
     "extrapolation_analysis",
     "binned_csv",
@@ -36,46 +35,17 @@ def postprocess_scores(raw, out_h: int, out_w: int, sigma: float = 1.0) -> np.nd
     return gaussian_blur(upsample_bilinear(scores, out_h, out_w), sigma)
 
 
-def _validate_scores_labels(scores, labels):
-    """Flat float64 scores and the positive-label mask.
-
-    A boolean label array is binary by its type, so only other label arrays
-    are compared with 0.
-    """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel()
-    if s.shape != y.shape:
-        raise ValueError("scores and labels must have the same number of entries")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    pos = y if y.dtype == bool else y == 1
-    if pos is not y and np.count_nonzero(y == 0) + np.count_nonzero(pos) != len(y):
-        raise ValueError("labels must be 0 or 1")
-    return s, pos
-
-
-def ap_and_fpr95(scores, labels) -> tuple[float, float]:
+def pooled_ap_and_fpr95(parts) -> tuple[float, float]:
     """Non-interpolated average precision and the lowest false positive rate
-    among thresholds reaching 95% TPR.
+    among thresholds reaching 95% TPR, of the pooled scores of parts given as
+    (positive scores, negative scores sorted ascending).
 
     A score is positive when >= the threshold, and the thresholds run down
     through the distinct score values, so ties share a threshold.
     AP = sum_n (R_n - R_{n-1}) * P_n, summed with `math.fsum`: the correctly
     rounded sum of its terms. A threshold at the minimum score reaches
-    TPR = 1, so the FPR operating set is never empty.
-    """
-    s, pos = _validate_scores_labels(scores, labels)
-    neg = s[~pos]
-    neg.sort()
-    return pooled_ap_and_fpr95([(s[pos], neg)])
-
-
-def pooled_ap_and_fpr95(parts) -> tuple[float, float]:
-    """`ap_and_fpr95` of the scores of several parts pooled, each part given
-    as (its positive scores, its negative scores sorted ascending).
-
-    The number of negatives at or above a threshold is the sum of each
-    part's count, so no pooled negative array is made.
+    TPR = 1, so the FPR operating set is never empty. The negatives at or
+    above a threshold are summed over the parts: no pooled array is made.
     """
     # recall changes only at a positive's score, so any other threshold adds
     # a zero AP term and has no fewer false positives than the next positive
@@ -106,10 +76,10 @@ class BinnedAnalysis:
 
 
 def extrapolation_analysis(
-    features, means: ClassMeans, probs, bin_width: float = 0.05
+    features, unit_means, probs, bin_width: float = 0.05
 ) -> BinnedAnalysis:
-    """Group rows by minimum cosine distance to the class means and average
-    the predicted probabilities per bin.
+    """Group rows by minimum cosine distance to the class means, given as
+    (K, D) unit-norm rows, and average the predicted probabilities per bin.
 
     Each feature row is unit-normalized before the distance computation.
     """
@@ -117,7 +87,7 @@ def extrapolation_analysis(
     p = np.asarray(probs, dtype=np.float64).ravel()
     if x.ndim != 2 or x.shape[0] != p.shape[0]:
         raise ValueError("extrapolation_analysis: need (N, D) features, N probs")
-    if len(means.ids) == 0:
+    if len(unit_means) == 0:
         raise ValueError("extrapolation_analysis: no class means")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("extrapolation_analysis: probs must lie in [0, 1]")
@@ -127,7 +97,7 @@ def extrapolation_analysis(
     if np.any(norms == 0.0):
         raise DataError("extrapolation_analysis: zero feature vector")
     unit = x / norms[:, None]
-    dist = 1.0 - (unit @ means.unit_means.T).max(axis=1)
+    dist = 1.0 - (unit @ unit_means.T).max(axis=1)
     dist = np.clip(dist, 0.0, 2.0)
     n_bins = max(1, math.ceil(dist.max() / bin_width)) if dist.max() > 0 else 1
     idx = np.minimum((dist / bin_width).astype(np.intp), n_bins - 1)

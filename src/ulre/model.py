@@ -72,9 +72,6 @@ class _EvidentialHead:
     def prob(self, logits):
         return ev.expected_prob(self.output(logits))[:, 1]
 
-    def fit_loss(self, logits, y_onehot) -> float:
-        return float(np.mean(ev.edl_log_loss(self.output(logits), y_onehot)))
-
     def loss_and_grad(self, logits, y_onehot, epoch: int):
         if np.isnan(logits).any():  # evidence_from_logits rejects NaN as bad data
             raise TrainingDivergedError(f"NaN logits at epoch {epoch}")
@@ -96,9 +93,6 @@ class _SigmoidHead:
 
     prob = output  # P(OOD) per row is this head's output
 
-    def fit_loss(self, logits, y_onehot) -> float:
-        return float(np.mean(ev.bce_loss_from_logit(logits[:, 0], y_onehot[:, 1])))
-
     def loss_and_grad(self, logits, y_onehot, epoch: int):
         z1 = logits[:, 0]
         y1 = y_onehot[:, 1]
@@ -110,7 +104,7 @@ class _SigmoidHead:
 # names the kind in extrapolate's config keys and file names; `output` is
 # predict_map's per-row result, `score` its likelihood ratio, `prob` P(OOD)
 # per row; `loss_and_grad` gives the mean loss and the logit gradient.
-# `output`, `prob` and `fit_loss` may overwrite the logits they are given.
+# `output` and `prob` may overwrite the logits they are given.
 # Heads look `ev` functions up when they run, so that a tracer which replaces
 # them sees every call.
 HEADS = {"evidential": _EvidentialHead(), "sigmoid": _SigmoidHead()}
@@ -371,12 +365,9 @@ class _Step:
 
 
 def _fit_loss(model: Estimator, x, y_onehot) -> float:
-    """Classification-fit loss only (no regularizer): the validation metric.
-
-    The annealed KL weight changes across epochs, which would make total
-    losses incomparable between epochs; the fit term is the stable yardstick.
-    """
-    return HEADS[model.head].fit_loss(forward(model, x), y_onehot)
+    """The head's mean loss at epoch 0, the validation metric: the annealed
+    KL weight is 0 there, so the losses of different epochs compare."""
+    return HEADS[model.head].loss_and_grad(forward(model, x), y_onehot, 0)[0]
 
 
 class _Adam:

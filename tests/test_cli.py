@@ -12,6 +12,8 @@ from ulre import cli
 from ulre import model as mdl
 from ulre.data import DataError, read_tensor_file, write_tensor_file
 
+from test_metrics import flat_ap_and_fpr95
+
 
 def write_config(path, **kv):
     path.write_text(
@@ -700,11 +702,9 @@ class TestTrainScoreEval:
         cli.run_command("eval", eval_cfg, eval_dir)
         payload = json.loads((eval_dir / "metrics.json").read_text())
         assert set(payload) >= {"ap", "fpr95", "n_pos", "n_neg"}
-        from ulre.metrics import ap_and_fpr95
-
         labels = read_tensor_file(scenes / "scene_000.ulre")["labels"]
-        assert payload["ap"] == ap_and_fpr95(scores.ravel(), labels.ravel())[0]
-        assert payload["fpr95"] == ap_and_fpr95(scores.ravel(), labels.ravel())[1]
+        want = flat_ap_and_fpr95(scores, labels)
+        assert (payload["ap"], payload["fpr95"]) == want
 
     def test_requested_output_dims(self, tmp_path, scenes):
         model_dir = self._train(tmp_path, scenes, "model")
@@ -829,8 +829,6 @@ class TestTrainScoreEval:
     def test_eval_file_by_file_equals_one_pooled_array(self, tmp_path):
         # eighth-step scores tie across files; file 1 has no positives and
         # file 2 no negatives, so neither gets per-file metrics
-        from ulre.metrics import ap_and_fpr95
-
         rng = np.random.default_rng(23)
         scores, labels = [], []
         for i, shape in enumerate([(9, 11), (6, 5), (4, 4), (13, 7)]):
@@ -845,7 +843,8 @@ class TestTrainScoreEval:
         payload = self._eval(tmp_path, scores, labels)
         pooled = np.concatenate([s.ravel() for s in scores])
         pooled_labels = np.concatenate([lab.ravel() for lab in labels])
-        assert (payload["ap"], payload["fpr95"]) == ap_and_fpr95(pooled, pooled_labels)
+        want = flat_ap_and_fpr95(pooled, pooled_labels)
+        assert (payload["ap"], payload["fpr95"]) == want
         assert (payload["n_pos"], payload["n_neg"]) == (
             int(pooled_labels.sum()), int((pooled_labels == 0).sum())
         )
@@ -853,11 +852,13 @@ class TestTrainScoreEval:
             if i in (1, 2):
                 assert entry == {"scores_file": str(tmp_path / f"s{i}.ulre")}
             else:
-                assert (entry["ap"], entry["fpr95"]) == ap_and_fpr95(scores[i], labels[i])
+                want = flat_ap_and_fpr95(scores[i], labels[i])
+                assert (entry["ap"], entry["fpr95"]) == want
         # one file: no breakdown, the same metrics as the file alone
         single = self._eval(tmp_path, scores[:1], labels[:1], "one")
         assert "per_file" not in single
-        assert (single["ap"], single["fpr95"]) == ap_and_fpr95(scores[0], labels[0])
+        want = flat_ap_and_fpr95(scores[0], labels[0])
+        assert (single["ap"], single["fpr95"]) == want
 
     def test_eval_pool_without_positives_exits_3(self, tmp_path, capsys):
         for i in range(2):
