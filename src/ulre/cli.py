@@ -130,10 +130,6 @@ SCHEMAS: dict[str, dict] = {
         "width": (int, 64),
         "dim": (int, 16),
         "n_classes": (int, 4),
-        "noise_sigma": (_parse_float, 0.1),
-        "mean_scale": (_parse_float, 1.0),
-        "min_angle": (_parse_float, 0.5),
-        "n_ood_directions": (int, 2),
         "ood_index": (int, 0),
         "ood_per_scene": (_parse_bool, False),
         "paste_ood": (_parse_bool, True),
@@ -192,6 +188,7 @@ _AT_LEAST_1 = (lambda v, cfg: v >= 1, ">= 1")
 _AT_LEAST_0 = (lambda v, cfg: v >= 0, ">= 0")
 _POSITIVE = (lambda v, cfg: v > 0.0, "> 0")
 _MOST_STEPS = 10**6  # the most grid points or distance bins a config may ask for
+_N_OOD_DIRECTIONS = 2  # gen-synthetic's reserved outlier directions
 _RULES = {
     # toy-gaussian seeds its streams with seed .. seed + 4, and gen-synthetic
     # its objects with 2 * (scene_seed + i) + 1: all must fit in 64 bits
@@ -238,12 +235,10 @@ _RULES = {
     "width": _AT_LEAST_1,
     "dim": (lambda v, cfg: v >= 2, ">= 2"),
     "n_classes": (lambda v, cfg: 1 <= v <= 255, "in [1, 255]"),  # u8 class ids
-    "noise_sigma": _AT_LEAST_0,
-    "n_ood_directions": _AT_LEAST_0,
     "ood_index": (  # checked when every scene pastes the one reserved direction
-        lambda v, cfg: 0 <= v < cfg["n_ood_directions"]
+        lambda v, cfg: 0 <= v < _N_OOD_DIRECTIONS
         or not cfg["paste_ood"] or cfg["ood_per_scene"],
-        "in [0, n_ood_directions) when pasting one reserved direction",
+        f"in [0, {_N_OOD_DIRECTIONS}) when pasting one reserved direction",
     ),
     "ood_sigma": _AT_LEAST_0,
     "ood_min_size": _AT_LEAST_1,
@@ -522,11 +517,8 @@ def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
 
 def cmd_gen_synthetic(resolved: dict, out_dir: Path) -> list[str]:
     n_classes = resolved["n_classes"]
-    n_dirs = n_classes + resolved["n_ood_directions"]
-    master = Rng(resolved["seed"])
-    directions = sample_unit_directions(
-        resolved["dim"], n_dirs, resolved["min_angle"], master
-    )
+    n_dirs = n_classes + _N_OOD_DIRECTIONS
+    directions = sample_unit_directions(resolved["dim"], n_dirs, Rng(resolved["seed"]))
     id_dirs = directions[:n_classes]
     outputs = []
     lo, hi = resolved["ood_min_size"], resolved["ood_max_size"]
@@ -539,8 +531,6 @@ def cmd_gen_synthetic(resolved: dict, out_dir: Path) -> list[str]:
             n_classes,
             scene_seed,
             id_dirs,
-            noise_sigma=resolved["noise_sigma"],
-            mean_scale=resolved["mean_scale"],
         )
         labels = np.zeros(feats.shape[:2], dtype=np.uint8)
         if resolved["paste_ood"]:
@@ -549,24 +539,13 @@ def cmd_gen_synthetic(resolved: dict, out_dir: Path) -> list[str]:
                 # a fresh outlier direction per scene, kept away from every
                 # reserved direction so held-out clusters stay disjoint
                 scene_dir = sample_unit_directions(
-                    resolved["dim"],
-                    1,
-                    resolved["min_angle"],
-                    obj_rng,
-                    avoid=directions,
+                    resolved["dim"], 1, obj_rng, avoid=directions
                 )[0]
             else:
                 scene_dir = directions[n_classes + resolved["ood_index"]]
             oh = lo + int(obj_rng.integers(1, hi - lo + 1)[0])
             ow = lo + int(obj_rng.integers(1, hi - lo + 1)[0])
-            obj = make_feature_object(
-                oh,
-                ow,
-                scene_dir,
-                obj_rng,
-                noise_sigma=resolved["ood_sigma"],
-                mean_scale=resolved["mean_scale"],
-            )
+            obj = make_feature_object(oh, ow, scene_dir, obj_rng, resolved["ood_sigma"])
             feats, labels = anomaly_mix(
                 feats,
                 obj,

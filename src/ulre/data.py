@@ -44,6 +44,8 @@ _DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("u1")}
 _CODE_FOR_KIND = {"f": 0, "u": 1}
 # draws before anomaly_mix and sample_unit_directions give up
 _MIX_TRIES, _DIRECTION_TRIES = 10, 1000
+_MIN_ANGLE = 0.5  # radians between any two sampled directions
+_SCENE_NOISE = 0.1  # standard deviation of a scene's feature noise
 
 
 def write_tensor_file(path, records: dict[str, np.ndarray]) -> None:
@@ -287,18 +289,17 @@ def anomaly_mix(
 def sample_unit_directions(
     dim: int,
     count: int,
-    min_angle: float,
     rng: Rng,
     avoid: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Random unit vectors pairwise separated by at least min_angle radians.
+    """Random unit vectors pairwise separated by at least _MIN_ANGLE radians.
 
     Vectors listed in `avoid` are kept at the same minimum angle without
     being part of the returned set.
     """
     if dim < 2:
         raise ValueError("sample_unit_directions: dim must be >= 2")
-    cos_limit = np.cos(min_angle)
+    cos_limit = np.cos(_MIN_ANGLE)
     chosen: list[np.ndarray] = (
         [] if avoid is None else list(np.asarray(avoid, dtype=np.float64))
     )
@@ -315,7 +316,7 @@ def sample_unit_directions(
                 return np.stack(chosen[n_avoid:])
     raise ValueError(
         f"sample_unit_directions: could not place {count} directions in "
-        f"{dim}-D with min angle {min_angle} after {_DIRECTION_TRIES} draws"
+        f"{dim}-D with min angle {_MIN_ANGLE} after {_DIRECTION_TRIES} draws"
     )
 
 
@@ -340,16 +341,13 @@ def gen_synthetic_scene(
     n_id_classes: int,
     seed: int,
     directions: np.ndarray,
-    *,
-    noise_sigma: float = 0.1,
-    mean_scale: float = 1.0,
 ):
     """Clustered stand-in for backbone feature maps.
 
     Pixels are partitioned into contiguous regions (nearest of one random
     anchor per class) and each pixel's feature is its class's unit direction
-    (a row of `directions`, shared across scenes) times mean_scale plus
-    isotropic Gaussian noise. Deterministic per seed.
+    (a row of `directions`, shared across scenes) plus isotropic Gaussian
+    noise of standard deviation _SCENE_NOISE. Deterministic per seed.
     """
     if d < 2:
         raise ValueError("gen_synthetic_scene: d must be >= 2")
@@ -372,14 +370,14 @@ def gen_synthetic_scene(
         anchor_x = rng.uniform_range(n_id_classes, 0.0, float(w))
         class_ids = _nearest_anchor(h, w, anchor_y, anchor_x)
 
-    features = (directions * mean_scale)[class_ids]
+    features = directions[class_ids]
     # the noise is drawn CHUNK values at a time, never at full size;
     # even chunks consume the stream exactly as one whole draw would
     flat = features.reshape(-1)
     for start in range(0, flat.size, CHUNK):
         part = flat[start : start + CHUNK]
         noise = rng.standard_normal(part.size)
-        noise *= noise_sigma
+        noise *= _SCENE_NOISE
         part += noise
     return features, class_ids
 
@@ -400,9 +398,7 @@ def make_feature_object(
     w: int,
     direction: np.ndarray,
     rng: Rng,
-    *,
-    noise_sigma: float = 0.1,
-    mean_scale: float = 1.0,
+    noise_sigma: float,
 ) -> np.ndarray:
     """Small feature-space raster clustered around one direction (an outlier
     object for the compositor)."""
@@ -410,7 +406,7 @@ def make_feature_object(
     d = direction.shape[0]
     obj = rng.standard_normal(h * w * d).reshape(h, w, d)
     obj *= noise_sigma
-    obj += mean_scale * direction
+    obj += direction
     return obj
 
 

@@ -167,12 +167,12 @@ def init_model(layer_dims, seed: int, head: str = "evidential") -> Estimator:
     return Estimator(dims, weights, biases, head=head)
 
 
-def _leaky_grad(h: np.ndarray, out=None) -> np.ndarray:
-    """The mask (h > 0) * (1 - _SLOPE) + _SLOPE in h's dtype; `out` may be h."""
-    mask = np.greater(h, 0.0, out=out).astype(h.dtype, copy=False)
-    mask *= 1.0 - _SLOPE
-    mask += _SLOPE
-    return mask
+def _leaky_grad(h: np.ndarray) -> np.ndarray:
+    """Overwrite h with the mask (h > 0) * (1 - _SLOPE) + _SLOPE; return h."""
+    np.greater(h, 0.0, out=h)
+    h *= 1.0 - _SLOPE
+    h += _SLOPE
+    return h
 
 
 def _cuts(n: int, most: int) -> list[int]:
@@ -356,7 +356,7 @@ class _Step:
             np.matmul(h.T, delta, out=self.grads_w[i])
             np.sum(delta, axis=0, out=self.grads_b[i])
             if i > 0:
-                mask = _leaky_grad(h, out=h)
+                mask = _leaky_grad(h)
                 back = self.scratch[: h.size].reshape(h.shape)
                 np.matmul(delta, self.weights[i].T, out=back)
                 delta = np.multiply(back, mask, out=h)

@@ -193,7 +193,7 @@ def _paired_extrapolation_benchmark(seed: int) -> dict:
     d = 16
     n_per, n_ood = 3000, 9000
     rng = Rng(seed)
-    dirs = sample_unit_directions(d, 4, 0.5, rng)
+    dirs = sample_unit_directions(d, 4, rng)
     id_dirs, proxy = dirs[:3], dirs[3]
     rows, labels = [], []
     for direction in id_dirs:

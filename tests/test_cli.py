@@ -109,8 +109,6 @@ OUT_OF_RANGE = [
     ("gen-synthetic", "dim", "1"),
     ("gen-synthetic", "n_classes", "0"),
     ("gen-synthetic", "n_classes", "256"),
-    ("gen-synthetic", "n_ood_directions", "-1"),
-    ("gen-synthetic", "noise_sigma", "-1"),
     ("gen-synthetic", "ood_sigma", "-1"),
     ("gen-synthetic", "scale_lo", "0"),
     ("gen-synthetic", "scale_hi", "0.4"),
@@ -125,10 +123,7 @@ OUT_OF_RANGE = [
     ("toy-gaussian", "grid_hi", "inf"),
     ("toy-gaussian", "grid_step", "1e-300"),
     ("gen-synthetic", "scale_hi", "inf"),
-    ("gen-synthetic", "noise_sigma", "inf"),
     ("gen-synthetic", "ood_sigma", "inf"),
-    ("gen-synthetic", "mean_scale", "nan"),
-    ("gen-synthetic", "min_angle", "nan"),
     ("extrapolate", "bin_width", "0"),
     ("extrapolate", "bin_width", "1e-300"),
     # seeds whose derived streams overflow 64 bits, which used to exit 3
@@ -218,11 +213,18 @@ class TestConfigParsing:
 
 
 class TestExitCodes:
-    def test_config_error_is_2_and_no_outputs(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", bogus_key="1")
+    def test_config_error_is_2_and_no_outputs(self, tmp_path, capsys):
+        # deleted keys: now data._SCENE_NOISE, a mean scale of 1,
+        # data._MIN_ANGLE and cli._N_OOD_DIRECTIONS
+        deleted = ("noise_sigma", "mean_scale", "min_angle", "n_ood_directions")
         out = tmp_path / "out"
-        assert cli.main(["gen-synthetic", "--config", cfg, "--out", str(out)]) == 2
-        assert not out.exists()
+        for key in ("bogus_key", *deleted):
+            cfg = write_config(tmp_path / "c.cfg", **{key: "1"})
+            argv = ["gen-synthetic", "--config", cfg, "--out", str(out)]
+            assert cli.main(argv) == 2, key
+            want = f"config error: unknown config keys for gen-synthetic: {key}\n"
+            assert capsys.readouterr().err == want
+            assert not out.exists()
 
     def test_missing_input_file_is_2(self, tmp_path):
         cfg = write_config(

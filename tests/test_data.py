@@ -9,6 +9,8 @@ import pytest
 
 from ulre import data
 from ulre.data import (
+    _MIN_ANGLE,
+    _SCENE_NOISE,
     DataError,
     TensorFileError,
     analytic_gaussian_lr,
@@ -413,21 +415,21 @@ class TestAnomalyMix:
 
 class TestUnitDirections:
     def test_pairwise_separation(self):
-        dirs = sample_unit_directions(8, 5, 0.5, Rng(11))
+        dirs = sample_unit_directions(8, 5, Rng(11))
         assert dirs.shape == (5, 8)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-12)
         gram = dirs @ dirs.T
         off = gram[~np.eye(5, dtype=bool)]
-        assert np.all(off <= np.cos(0.5) + 1e-12)
+        assert np.all(off <= np.cos(_MIN_ANGLE) + 1e-12)
 
     def test_infeasible_separation(self):
         with pytest.raises(ValueError, match="could not place"):
-            sample_unit_directions(2, 50, 0.5, Rng(12))
+            sample_unit_directions(2, 50, Rng(12))
 
 
 class TestSyntheticScene:
     def test_deterministic(self):
-        dirs = sample_unit_directions(4, 3, 0.5, Rng(12))
+        dirs = sample_unit_directions(4, 3, Rng(12))
         a = gen_synthetic_scene(8, 9, 4, 3, 13, dirs)
         b = gen_synthetic_scene(8, 9, 4, 3, 13, dirs)
         np.testing.assert_array_equal(a[0], b[0])
@@ -439,17 +441,17 @@ class TestSyntheticScene:
         assert feats.shape == (6, 6, 4)
 
     def test_class_conditional_means(self):
-        dirs = sample_unit_directions(8, 2, 0.5, Rng(15))
-        feats, ids = gen_synthetic_scene(40, 40, 8, 2, 16, dirs, noise_sigma=0.1)
+        dirs = sample_unit_directions(8, 2, Rng(15))
+        feats, ids = gen_synthetic_scene(40, 40, 8, 2, 16, dirs)
         flat = feats.reshape(-1, 8)
         flat_ids = ids.reshape(-1)
         for k in range(2):
             rows = flat[flat_ids == k]
-            tol = 3 * 0.1 / np.sqrt(len(rows))
+            tol = 3 * _SCENE_NOISE / np.sqrt(len(rows))
             np.testing.assert_allclose(rows.mean(axis=0), dirs[k], atol=tol)
 
     def test_shared_directions_give_same_clusters(self):
-        dirs = sample_unit_directions(6, 3, 0.5, Rng(17))
+        dirs = sample_unit_directions(6, 3, Rng(17))
         f1, _ = gen_synthetic_scene(10, 10, 6, 3, 18, dirs)
         f2, _ = gen_synthetic_scene(10, 10, 6, 3, 19, dirs)
         assert not np.array_equal(f1, f2)  # different noise/layout
@@ -466,7 +468,7 @@ class TestSyntheticScene:
 
     def test_peak_memory(self):
         # the noise is drawn in chunks, never beside the features at full size
-        dirs = sample_unit_directions(16, 4, 0.5, Rng(1))
+        dirs = sample_unit_directions(16, 4, Rng(1))
         tracemalloc.start()
         try:
             feats, _ = gen_synthetic_scene(384, 384, 16, 4, 0, dirs)
@@ -487,7 +489,7 @@ class TestObjectHelpers:
     def test_make_feature_object(self):
         direction = np.zeros(4)
         direction[0] = 1.0
-        obj = make_feature_object(6, 5, direction, Rng(23), noise_sigma=0.01)
+        obj = make_feature_object(6, 5, direction, Rng(23), 0.01)
         assert obj.shape == (6, 5, 4)
         assert obj[..., 0].mean() == pytest.approx(1.0, abs=0.02)
 

@@ -90,7 +90,7 @@ RUNS = [
 
 PINNED = {
     "scenes/manifest.json": (
-        "86d86db7f3b6416ae045009dbeab91f4f35191f22d41fd09aea911bf470d0fcc"
+        "faef902d1e02375372e79981ca91c7eae615491093bd8ce6663351fdb18083ba"
     ),
     "scenes/scene_000.ulre": (
         "1bd0122002c4cdcab7b6ff764e5bbd75bb8f7eb46fb4917d4f656f4d2bfe5d07"

@@ -3,7 +3,6 @@
 import os
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -160,7 +159,7 @@ class TestForward:
         # most 1.7e-5 over seeds 0-5; the bound leaves 2.9x headroom.
         d = 16
         rng = Rng(0)
-        dirs = sample_unit_directions(d, 4, 0.5, rng)
+        dirs = sample_unit_directions(d, 4, rng)
 
         def around(center, sigma, n):
             return center + sigma * rng.standard_normal(n * d).reshape(n, d)
@@ -213,12 +212,9 @@ class TestForward:
             np.testing.assert_array_equal(h.view(uint), want.view(uint))
             act = np.maximum(z, slope * z)
             grad = np.where(z > 0.0, 1.0, slope).astype(dtype)
-            for got in (
-                mdl._leaky_grad(act),
-                mdl._leaky_grad((a := act.copy()), out=a),  # in place
-            ):
-                assert got.dtype == dtype
-                np.testing.assert_array_equal(got.view(uint), grad.view(uint))
+            got = mdl._leaky_grad(act)  # in place
+            assert got is act and got.dtype == dtype
+            np.testing.assert_array_equal(got.view(uint), grad.view(uint))
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -265,19 +261,17 @@ class TestForwardWorkers:
             mdl.forward(m, x)
 
     def test_more_workers_than_cores_give_the_bits_of_one(self, monkeypatch):
-        threads = set()
+        calls = []  # the thread of each _logit_rows call in one forward
         logit_rows = mdl._logit_rows
 
         def recorded(*args):
-            threads.add(threading.get_ident())
+            calls.append(threading.get_ident())
             logit_rows(*args)
 
         monkeypatch.setattr(mdl, "_logit_rows", recorded)
         many = (os.cpu_count() or 1) + 2
+        most_threads = 0
         interval = sys.getswitchinterval()
-        # CPU time of every thread of this process, not wall time: time the
-        # threads spend descheduled while other processes run is not counted
-        start = time.process_time()
         sys.setswitchinterval(1e-6)
         try:
             for dims, head in (
@@ -290,11 +284,18 @@ class TestForwardWorkers:
                     monkeypatch.setattr(mdl, "_workers", lambda: 1)
                     want = mdl.forward(m, x)
                     monkeypatch.setattr(mdl, "_workers", lambda: many)
+                    calls.clear()
                     np.testing.assert_array_equal(mdl.forward(m, x), want)
+                    # the work done, not the time taken, which other load
+                    # on the host stretches: each block ran exactly once,
+                    # on at most one thread per worker
+                    blocks = len(mdl._cuts(rows, mdl._BLOCK_ROWS)) - 1
+                    assert len(calls) == blocks
+                    assert len(set(calls)) <= min(many, blocks)
+                    most_threads = max(most_threads, len(set(calls)))
         finally:
             sys.setswitchinterval(interval)
-        assert len(threads) > 1  # the pool ran some blocks
-        assert time.process_time() - start < 30
+        assert most_threads > 1  # the pool ran some blocks
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_exception_propagates_and_threads_end(self, monkeypatch, failing):

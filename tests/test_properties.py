@@ -217,7 +217,7 @@ EDGES = {
     "sigma": [2.66, 2.67, 1e4],  # 8 x 8 map: 3 * sigma must be <= 8
     "dim": [1, 2],
     "n_classes": [1, 255, 256],
-    "ood_index": [1, 2],  # n_ood_directions = 2
+    "ood_index": [1, 2],  # cli._N_OOD_DIRECTIONS = 2
     "ood_max_size": [2, 3],  # ood_min_size = 3
     "scale_hi": [0.4, 0.5],  # scale_lo's default
     **dict.fromkeys(

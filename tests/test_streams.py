@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ulre.data import (
+    _SCENE_NOISE,
     _nearest_anchor,
     gen_synthetic_scene,
     make_feature_object,
@@ -62,19 +63,19 @@ def reference_class_ids(h, w, anchor_y, anchor_x):
     return dist2.argmin(axis=-1).astype(np.uint8)
 
 
-def ref_scene(h, w, d, n_id_classes, seed, directions, noise_sigma, mean_scale):
+def ref_scene(h, w, d, n_id_classes, seed, directions):
     rng = RefRng(seed)
     anchor_y = rng.uniform_range(n_id_classes, 0.0, float(h))
     anchor_x = rng.uniform_range(n_id_classes, 0.0, float(w))
     class_ids = reference_class_ids(h, w, anchor_y, anchor_x)
-    noise = rng.standard_normal(h * w * d).reshape(h, w, d) * noise_sigma
-    return mean_scale * directions[class_ids] + noise, class_ids
+    noise = rng.standard_normal(h * w * d).reshape(h, w, d) * _SCENE_NOISE
+    return directions[class_ids] + noise, class_ids
 
 
-def ref_object(h, w, direction, rng, noise_sigma, mean_scale):
+def ref_object(h, w, direction, rng, noise_sigma):
     d = direction.shape[0]
     noise = rng.standard_normal(h * w * d).reshape(h, w, d) * noise_sigma
-    return mean_scale * direction[None, None, :] + noise
+    return direction[None, None, :] + noise
 
 
 C = CHUNK
@@ -114,29 +115,27 @@ def test_mixed_calls_carry_the_counter(seed):
     [(384, 384, 16, 4), (97, 175, 8, 4), (5, 7, 3, 2), (33, 33, 3, 3), (31, 29, 16, 255)],
 )
 def test_scene_matches_whole_array_reference(shape):
-    dirs = sample_unit_directions(*shape[2:], 0.5, Rng(100))
-    want_f, want_ids = ref_scene(*shape, 101, dirs, noise_sigma=0.3, mean_scale=1.7)
-    got_f, got_ids = gen_synthetic_scene(
-        *shape, 101, dirs, noise_sigma=0.3, mean_scale=1.7
-    )
+    dirs = sample_unit_directions(*shape[2:], Rng(100))
+    want_f, want_ids = ref_scene(*shape, 101, dirs)
+    got_f, got_ids = gen_synthetic_scene(*shape, 101, dirs)
     np.testing.assert_array_equal(got_ids, want_ids)
     np.testing.assert_array_equal(got_f, want_f)
 
 
 def test_single_class_scene_matches_reference():
     # one class: every pixel is class 0 and no anchors are drawn
-    direction = sample_unit_directions(8, 1, 0.5, Rng(2))
+    direction = sample_unit_directions(8, 1, Rng(2))
     got, ids = gen_synthetic_scene(64, 70, 8, 1, 3, direction)
     assert not ids.any()
-    want = ref_object(64, 70, direction[0], RefRng(3), 0.1, 1.0)
+    want = ref_object(64, 70, direction[0], RefRng(3), _SCENE_NOISE)
     np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("hw", [(1, 1), (8, 9), (64, 65)])
 def test_object_matches_whole_array_reference(hw):
     direction = np.linspace(-1.0, 1.0, 16)
-    got = make_feature_object(*hw, direction, Rng(3), noise_sigma=0.8, mean_scale=1.3)
-    want = ref_object(*hw, direction, RefRng(3), 0.8, 1.3)
+    got = make_feature_object(*hw, direction, Rng(3), 0.8)
+    want = ref_object(*hw, direction, RefRng(3), 0.8)
     np.testing.assert_array_equal(got, want)
 
 
