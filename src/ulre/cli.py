@@ -85,16 +85,10 @@ SCHEMAS: dict[str, dict] = {
     "toy-gaussian": {
         "seed": (int, 0),
         "n_per_class": (int, 100_000),
-        "mu0": (_parse_float, -0.4),
-        "mu1": (_parse_float, 0.4),
         "epochs": (int, 100),
-        "learning_rate": (_parse_float, 1e-3),
         "batch_size": (int, 1024),
         "hidden": (int, 16),
         "patience": (int, 5),
-        "val_fraction": (_parse_float, 0.1),
-        "grid_lo": (_parse_float, -6.0),
-        "grid_hi": (_parse_float, 6.0),
         "grid_step": (_parse_float, 0.05),
     },
     "train": {
@@ -109,7 +103,6 @@ SCHEMAS: dict[str, dict] = {
         "features": (str, REQUIRED),
         "out_height": (int, 0),
         "out_width": (int, 0),
-        "sigma": (_parse_float, 1.0),
     },
     "eval": {
         "scores": (_parse_paths, REQUIRED),
@@ -120,7 +113,6 @@ SCHEMAS: dict[str, dict] = {
         "eval_features": (str, REQUIRED),
         "checkpoint_edl": (str, ""),
         "checkpoint_bce": (str, ""),
-        "bin_width": (_parse_float, 0.05),
     },
     "gen-synthetic": {
         "seed": (int, 0),
@@ -187,8 +179,13 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
 _AT_LEAST_1 = (lambda v, cfg: v >= 1, ">= 1")
 _AT_LEAST_0 = (lambda v, cfg: v >= 0, ">= 0")
 _POSITIVE = (lambda v, cfg: v > 0.0, "> 0")
-_MOST_STEPS = 10**6  # the most grid points or distance bins a config may ask for
+_MOST_STEPS = 10**6  # the most grid points a config may ask for
 _N_OOD_DIRECTIONS = 2  # gen-synthetic's reserved outlier directions
+# toy-gaussian's class means, learning rate and grid width (the grid is
+# [-6, 6], stepped by grid_step)
+_TOY_MEANS = (-0.4, 0.4)
+_TOY_LEARNING_RATE = 1e-3
+_TOY_SPAN = 12.0
 _RULES = {
     # toy-gaussian seeds its streams with seed .. seed + 4, and gen-synthetic
     # its objects with 2 * (scene_seed + i) + 1: all must fit in 64 bits
@@ -205,27 +202,13 @@ _RULES = {
     "hidden": _AT_LEAST_1,
     "n_per_class": _AT_LEAST_1,
     "hidden_dims": (lambda v, cfg: all(d >= 1 for d in v), ">= 1 in every entry"),
-    # toy-gaussian has no early_stopping key: it always stops early
-    "val_fraction": (
-        lambda v, cfg: 0.0 < v < 1.0 or not cfg.get("early_stopping", True),
-        "in (0, 1) with early stopping",
+    "grid_step": (  # the summary fits ln LR over the grid points in [-2, 2]
+        lambda v, cfg: v >= _TOY_SPAN / _MOST_STEPS
+        and np.count_nonzero(_toy_grid(v)[1]) >= 2,
+        f">= {_TOY_SPAN:g} / {_MOST_STEPS:,} with at least two grid points in [-2, 2]",
     ),
-    "grid_step": (
-        lambda v, cfg: v > 0.0 and (cfg["grid_hi"] - cfg["grid_lo"]) / v <= _MOST_STEPS,
-        f"> 0 and >= (grid_hi - grid_lo) / {_MOST_STEPS:,}",
-    ),
-    "grid_hi": (lambda v, cfg: v > cfg["grid_lo"], "> grid_lo"),
-    "grid_lo": (  # the summary fits ln LR over the grid points in [-2, 2]
-        lambda v, cfg: np.count_nonzero(_toy_grid(cfg)[1]) >= 2,
-        "such that at least two grid points lie in [-2, 2]",
-    ),
-    "sigma": _POSITIVE,
     "out_height": _AT_LEAST_0,  # 0 keeps the input's size
     "out_width": _AT_LEAST_0,
-    "bin_width": (  # cosine distances lie in [0, 2]
-        lambda v, cfg: v >= 2.0 / _MOST_STEPS,
-        f">= 2 / {_MOST_STEPS:,}",
-    ),
     "checkpoint_edl": (
         lambda v, cfg: bool(v or cfg["checkpoint_bce"]),
         "set when checkpoint_bce is empty",
@@ -317,6 +300,14 @@ def _records(path, records=None, **ranks) -> list[np.ndarray]:
     return found
 
 
+def _feature_map(path) -> np.ndarray:
+    """The 'features' record of a file: an H x W x D map of at least one pixel."""
+    [fmap] = _records(path, features=3)
+    if fmap.shape[0] * fmap.shape[1] == 0:
+        raise DataError(f"{path}: 'features' has no pixels")
+    return fmap
+
+
 def _positives(path, shape, records=None) -> np.ndarray:
     """The boolean map of a labels record's 1s; the record must have the
     given shape and hold only 0 and 1."""
@@ -330,28 +321,25 @@ def _positives(path, shape, records=None) -> np.ndarray:
     return positive
 
 
-def _toy_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+def _toy_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     """toy-gaussian's evaluation grid, and the mask of its points in [-2, 2]."""
-    lo, hi, step = cfg["grid_lo"], cfg["grid_hi"], cfg["grid_step"]
-    x = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    x = np.linspace(-_TOY_SPAN / 2, _TOY_SPAN / 2, int(round(_TOY_SPAN / step)) + 1)
     return x, np.abs(x) <= 2.0
 
 
 def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
     seed = resolved["seed"]
-    features, labels = gen_gaussian_1d(
-        resolved["n_per_class"], resolved["mu0"], resolved["mu1"], seed
-    )
-    x, center = _toy_grid(resolved)
-    fit = {f.name: resolved[f.name] for f in _TRAIN_FIELDS if f.name in resolved}
-    fit["early_stopping"] = True
+    features, labels = gen_gaussian_1d(resolved["n_per_class"], *_TOY_MEANS, seed)
+    x, center = _toy_grid(resolved["grid_step"])
+    fit = {key: resolved[key] for key in ("epochs", "batch_size", "patience")}
+    fit.update(learning_rate=_TOY_LEARNING_RATE, early_stopping=True)
     logits, reports = {}, {}
     for i, (kind, head) in enumerate(mdl.HEADS.items()):
         model, reports[head.tag] = mdl.train(
             mdl.init_model([1, resolved["hidden"], head.width], seed + 3 + i, kind),
             features,
             labels,
-            mdl.TrainConfig(**{**fit, "seed": seed + 1 + i}),
+            mdl.TrainConfig(**fit, seed=seed + 1 + i),
         )
         logits[kind] = mdl.forward(model, x.reshape(-1, 1))
 
@@ -361,7 +349,7 @@ def cmd_toy_gaussian(resolved: dict, out_dir: Path) -> list[str]:
     vac = ev.vacuity(alpha)
     lr_edl = edl.score(alpha)
     p_bce = bce.prob(logits["sigmoid"])
-    lr_true = analytic_gaussian_lr(x, resolved["mu0"], resolved["mu1"])
+    lr_true = analytic_gaussian_lr(x, *_TOY_MEANS)
     entropy = ev.binary_entropy(p_bce)
 
     lines = ["x,p_edl,vacuity,p_bce,entropy_bce,lr_edl,lr_true"]
@@ -428,14 +416,13 @@ def cmd_train(resolved: dict, out_dir: Path) -> list[str]:
 
 def cmd_score(resolved: dict, out_dir: Path) -> list[str]:
     model = mdl.load_model(resolved["checkpoint"])
-    [fmap] = _records(resolved["features"], features=3)
+    fmap = _feature_map(resolved["features"])
     out_h = resolved["out_height"] or fmap.shape[0]
     out_w = resolved["out_width"] or fmap.shape[1]
-    side = max(out_h, out_w)
-    if 3.0 * resolved["sigma"] > side:  # the blur's radius is ceil(3 sigma)
-        raise DataError(f"sigma: 3 * sigma must be <= {side}, the map's larger side")
+    if 3.0 * metrics.BLUR_SIGMA > max(out_h, out_w):  # radius: ceil(3 sigma)
+        raise DataError(f"score: the blur's radius exceeds the {out_h} x {out_w} map")
     raw = mdl.HEADS[model.head].score(mdl.predict_map(model, fmap))
-    scores = metrics.postprocess_scores(raw, out_h, out_w, resolved["sigma"])
+    scores = metrics.postprocess_scores(raw, out_h, out_w)
     write_tensor_file(out_dir / "scores.ulre", {"scores": scores})
     return ["scores.ulre"]
 
@@ -491,7 +478,7 @@ def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
         raise DataError(f"extrapolate: class ids missing from class_ids: {missing}")
     unit_means = class_means(feats.reshape(-1, feats.shape[2]), flat_ids)
 
-    [emap] = _records(resolved["eval_features"], features=3)
+    emap = _feature_map(resolved["eval_features"])
     if emap.shape[2] != feats.shape[2]:
         raise DataError("extrapolate: eval features dim mismatch")
     rows = emap.reshape(-1, emap.shape[2])
@@ -506,9 +493,7 @@ def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
                 f"expected {kind!r}"
             )
         probs = head.prob(mdl.forward(model, rows))
-        analysis = metrics.extrapolation_analysis(
-            rows, unit_means, probs, resolved["bin_width"]
-        )
+        analysis = metrics.extrapolation_analysis(rows, unit_means, probs)
         name = f"extrapolation_{head.tag}.csv"
         (out_dir / name).write_text(metrics.binned_csv(analysis), "utf-8")
         outputs.append(name)
@@ -580,7 +565,10 @@ def run_command(command: str, resolved: dict, out_dir) -> list[str]:
     """Run one subcommand with a fully resolved config; returns output names."""
     _check_values(resolved)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file where the directory or a parent is
+        raise ConfigError(f"output directory {out_dir}: {exc.strerror}") from exc
     handler, _ = _COMMANDS[command]
     outputs = handler(resolved, out_dir)
     _write_manifest(out_dir, command, resolved, outputs)

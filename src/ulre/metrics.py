@@ -14,6 +14,7 @@ from .data import DataError
 from .numkernel import gaussian_blur, upsample_bilinear
 
 __all__ = [
+    "BLUR_SIGMA",
     "BinnedAnalysis",
     "postprocess_scores",
     "pooled_ap_and_fpr95",
@@ -21,9 +22,12 @@ __all__ = [
     "binned_csv",
 ]
 
+BLUR_SIGMA = 1.0  # the score maps' Gaussian blur, in output pixels
 
-def postprocess_scores(raw, out_h: int, out_w: int, sigma: float = 1.0) -> np.ndarray:
-    """Full-resolution score map: bilinear upscale, then Gaussian blur.
+
+def postprocess_scores(raw, out_h: int, out_w: int) -> np.ndarray:
+    """Full-resolution score map: bilinear upscale, then a Gaussian blur of
+    standard deviation BLUR_SIGMA.
 
     Both stages preserve constants and strict positivity.
     """
@@ -32,7 +36,7 @@ def postprocess_scores(raw, out_h: int, out_w: int, sigma: float = 1.0) -> np.nd
         raise ValueError("postprocess_scores: expected a nonempty 2-D map")
     if not np.all(np.isfinite(scores)) or np.any(scores <= 0.0):
         raise ValueError("postprocess_scores: scores must be finite and positive")
-    return gaussian_blur(upsample_bilinear(scores, out_h, out_w), sigma)
+    return gaussian_blur(upsample_bilinear(scores, out_h, out_w), BLUR_SIGMA)
 
 
 def pooled_ap_and_fpr95(parts) -> tuple[float, float]:

@@ -49,6 +49,8 @@ _FORWARD_ALIGN = 64
 _SLOPE = 0.01
 # Adam's decay rates and guard: the defaults of Kingma & Ba (ICLR 2015)
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# The share of rows that early stopping holds out for validation
+_VAL_FRACTION = 0.1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -126,7 +128,6 @@ class TrainConfig:
     seed: int = 0
     early_stopping: bool = False
     patience: int = 5
-    val_fraction: float = 0.1
 
 
 @dataclass
@@ -426,10 +427,8 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
     rng = Rng(cfg.seed)
     n = x.shape[0]
     if cfg.early_stopping:
-        if not 0.0 < cfg.val_fraction < 1.0:
-            raise ValueError("train: val_fraction must be in (0, 1)")
         split = rng.permutation(n)
-        n_val = max(1, int(round(n * cfg.val_fraction)))
+        n_val = max(1, int(round(n * _VAL_FRACTION)))
         val_idx, train_idx = split[:n_val], split[n_val:]
         x_train, y_train = x[train_idx], y_onehot[train_idx]
         x_val, y_val = x[val_idx], y_onehot[val_idx]

@@ -73,10 +73,7 @@ def small_config(tmp_path, command):
 
 # one bad value for every key in cli._RULES (the score geometry keys are in
 # BAD_SCORE_GEOMETRY), checked by test_every_rule_has_a_bad_value
-BAD_SCORE_GEOMETRY = [
-    ("sigma", "0"), ("sigma", "-0.5"), ("sigma", "nan"), ("sigma", "inf"),
-    ("out_height", "-1"), ("out_width", "-3"),
-]
+BAD_SCORE_GEOMETRY = [("out_height", "-1"), ("out_width", "-3")]
 OUT_OF_RANGE = [
     ("train", "epochs", "0"),
     ("train", "batch_size", "0"),
@@ -84,16 +81,12 @@ OUT_OF_RANGE = [
     ("train", "patience", "-2"),
     ("train", "hidden_dims", "-1"),
     ("train", "hidden_dims", "8,0"),
-    ("train", "val_fraction", "1.5"),
-    ("train", "val_fraction", "0"),
     ("toy-gaussian", "epochs", "0"),
     ("toy-gaussian", "batch_size", "0"),
     ("toy-gaussian", "patience", "-1"),
     ("toy-gaussian", "hidden", "0"),
-    ("toy-gaussian", "val_fraction", "1.5"),
     ("toy-gaussian", "grid_step", "0"),
     ("toy-gaussian", "grid_step", "-0.05"),
-    ("toy-gaussian", "grid_hi", "-6"),
     # rules that were checks inside the command handlers
     ("train", "head", "gaussian"),
     ("extrapolate", "checkpoint_edl", ""),
@@ -115,26 +108,15 @@ OUT_OF_RANGE = [
     ("gen-synthetic", "seed", "-1"),
     ("gen-synthetic", "scene_seed", "-1"),
     ("toy-gaussian", "n_per_class", "0"),
-    ("toy-gaussian", "learning_rate", "0"),
-    ("toy-gaussian", "learning_rate", "-1"),
     ("train", "learning_rate", "-1"),
     # non-finite floats, which used to exit 1, 3 or 0, and steps too fine
-    ("toy-gaussian", "grid_lo", "-inf"),
-    ("toy-gaussian", "grid_hi", "inf"),
     ("toy-gaussian", "grid_step", "1e-300"),
     ("gen-synthetic", "scale_hi", "inf"),
     ("gen-synthetic", "ood_sigma", "inf"),
-    ("extrapolate", "bin_width", "0"),
-    ("extrapolate", "bin_width", "1e-300"),
     # seeds whose derived streams overflow 64 bits, which used to exit 3
     ("gen-synthetic", "scene_seed", str(2**63)),  # objects: Rng(2 * scene_seed + 1)
     ("gen-synthetic", "seed", str(2**64)),
     ("toy-gaussian", "seed", str(2**64 - 1)),  # streams seed + 1 .. seed + 4
-    # grids with fewer than two points in [-2, 2], where the summary fits its
-    # ln LR slope, which used to exit 1 or fit one point; the dict holds the
-    # other keys such a case sets
-    ("toy-gaussian", "grid_lo", "3", {"grid_hi": "6"}),
-    ("toy-gaussian", "grid_lo", "1.99", {"grid_hi": "2.01"}),
 ]
 
 
@@ -191,15 +173,15 @@ class TestConfigParsing:
 
     def test_defaults_applied(self):
         resolved = cli.resolve_config("score", {"checkpoint": "a", "features": "b"})
-        assert resolved["sigma"] == 1.0
         assert resolved["out_height"] == 0
+        assert resolved["out_width"] == 0
 
     def test_train_defaults_come_from_train_config(self):
         resolved = cli.resolve_config("train", {"features": "a", "labels": "b"})
         defaults = mdl.TrainConfig()
         keys = {
             "epochs", "learning_rate", "batch_size", "seed",
-            "early_stopping", "patience", "val_fraction",
+            "early_stopping", "patience",
         }
         assert set(resolved) == keys | {"features", "labels", "hidden_dims", "head"}
         for key in keys:
@@ -214,17 +196,42 @@ class TestConfigParsing:
 
 class TestExitCodes:
     def test_config_error_is_2_and_no_outputs(self, tmp_path, capsys):
-        # deleted keys: now data._SCENE_NOISE, a mean scale of 1,
-        # data._MIN_ANGLE and cli._N_OOD_DIRECTIONS
-        deleted = ("noise_sigma", "mean_scale", "min_angle", "n_ood_directions")
+        # deleted keys, each now a constant: data._SCENE_NOISE, a mean scale
+        # of 1, data._MIN_ANGLE, cli._N_OOD_DIRECTIONS, cli._TOY_MEANS,
+        # cli._TOY_LEARNING_RATE, cli._TOY_SPAN, model._VAL_FRACTION,
+        # metrics.BLUR_SIGMA and extrapolation_analysis's default bin width
+        deleted = [
+            *(("gen-synthetic", key) for key in
+              ("noise_sigma", "mean_scale", "min_angle", "n_ood_directions")),
+            *(("toy-gaussian", key) for key in
+              ("mu0", "mu1", "learning_rate", "val_fraction", "grid_lo", "grid_hi")),
+            ("train", "val_fraction"),
+            ("score", "sigma"),
+            ("extrapolate", "bin_width"),
+        ]
         out = tmp_path / "out"
-        for key in ("bogus_key", *deleted):
+        for command, key in [("gen-synthetic", "bogus_key"), *deleted]:
             cfg = write_config(tmp_path / "c.cfg", **{key: "1"})
-            argv = ["gen-synthetic", "--config", cfg, "--out", str(out)]
-            assert cli.main(argv) == 2, key
-            want = f"config error: unknown config keys for gen-synthetic: {key}\n"
+            argv = [command, "--config", cfg, "--out", str(out)]
+            assert cli.main(argv) == 2, (command, key)
+            want = f"config error: unknown config keys for {command}: {key}\n"
             assert capsys.readouterr().err == want
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "out,reason",
+        [("file", "File exists"), ("file/sub", "Not a directory")],
+        ids=["file", "under_file"],
+    )
+    def test_output_path_through_a_file_is_2_and_names_it(
+        self, tmp_path, capsys, out, reason
+    ):
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path / out
+        assert cli.main(["gen-synthetic", "--out", str(out)]) == 2
+        want = f"config error: output directory {out}: {reason}\n"
+        assert capsys.readouterr().err == want
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_missing_input_file_is_2(self, tmp_path):
         cfg = write_config(
@@ -283,12 +290,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "numerical failure: overflow encountered in matmul\n"
 
-    # a float overflow outside the training loss, in numpy or in Python
+    # a float overflow outside the training loss
     @pytest.mark.parametrize(
-        "command,key,value",
-        [("toy-gaussian", "mu0", "1e300"), ("toy-gaussian", "mu1", "1e300"),
-         ("toy-gaussian", "learning_rate", "1e300"),
-         ("train", "learning_rate", "1e300")],
+        "command,key,value", [("train", "learning_rate", "1e300")]
     )
     def test_float_overflow_is_4_with_one_line(
         self, tmp_path, capsys, command, key, value
@@ -298,10 +302,6 @@ class TestExitCodes:
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
-        # mu0 and mu1 overflow first in training, as early stopping's
-        # validation rows are cast to float32 for `forward`
-        if key in ("mu0", "mu1"):
-            assert lines == ["numerical failure: overflow encountered in cast"]
 
     # a feature that is finite in float64 but beyond float32's range
     # overflows as `forward` casts its block
@@ -465,20 +465,26 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command,key,value,others",
-        [(*case, {})[:4] for case in OUT_OF_RANGE],
-        ids=["-".join(case[:3]) for case in OUT_OF_RANGE],
+        "command,key,value", OUT_OF_RANGE, ids=["-".join(case) for case in OUT_OF_RANGE]
     )
     def test_out_of_range_value_is_2_and_names_the_key(
-        self, tmp_path, capsys, command, key, value, others
+        self, tmp_path, capsys, command, key, value
     ):
         base = small_config(tmp_path, command)
-        cfg = write_config(tmp_path / "c.cfg", **{**base, key: value, **others})
+        cfg = write_config(tmp_path / "c.cfg", **{**base, key: value})
         out = tmp_path / "out"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config key {key!r}: must be ")
         assert not out.exists()
+
+    def test_every_key_is_an_input_a_boolean_or_ruled(self):
+        for command, schema in cli.SCHEMAS.items():
+            inputs = cli._COMMANDS[command][1]
+            for key, (conv, _) in schema.items():
+                assert key in inputs or conv is cli._parse_bool or key in cli._RULES, (
+                    command, key
+                )
 
     def test_every_rule_has_a_bad_value(self):
         # _check_values skips keys a config lacks, so a misspelt rule never fires
@@ -510,18 +516,6 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert cli.main(["gen-synthetic", "--config", cfg, "--out", str(out)]) == 0
 
-    def test_val_fraction_is_unchecked_without_early_stopping(self, tmp_path):
-        feat, lab = tmp_path / "f.ulre", tmp_path / "l.ulre"
-        write_tensor_file(feat, {"features": np.zeros((4, 4, 2))})
-        labels = np.zeros((4, 4), dtype=np.uint8)
-        labels[:2] = 1
-        write_tensor_file(lab, {"labels": labels})
-        cfg = write_config(
-            tmp_path / "c.cfg", features=feat, labels=lab, batch_size=4, epochs=1,
-            val_fraction=1.5,
-        )
-        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-
     @pytest.mark.parametrize(
         "seed,rule", [("abc", "invalid literal"), ("-1", "must be in [0, ")]
     )
@@ -549,18 +543,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: unknown config keys for {command}: seed\n"
 
-    # the blur's radius, ceil(3 sigma), may not pass the output map's larger side
-    @pytest.mark.parametrize(
-        "sigma,size,code", [(1.33, {}, 0), (1.34, {}, 3), (1.34, {"out_width": 5}, 0)]
-    )
-    def test_sigma_wider_than_the_output_map_is_3(
-        self, tmp_path, capsys, sigma, size, code
+    # the blur's radius, 3 px, may not pass the output map's larger side
+    @pytest.mark.parametrize("height,width,code", [(2, 3, 0), (3, 2, 0), (2, 2, 3)])
+    def test_output_map_under_the_blur_radius_is_3(
+        self, tmp_path, capsys, monkeypatch, height, width, code
     ):
-        base = small_config(tmp_path, "score")  # a 4 x 4 map
-        cfg = write_config(tmp_path / "c.cfg", **base, sigma=sigma, **size)
+        base = small_config(tmp_path, "score")
+        cfg = write_config(
+            tmp_path / "c.cfg", **base, out_height=height, out_width=width
+        )
+        if code:  # the map is rejected before it is scored
+            monkeypatch.setattr(mdl, "predict_map", lambda *a: pytest.fail("scored"))
         assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "o")]) == code
-        rejected = "data error: sigma: 3 * sigma must be <= 4, the map's larger side\n"
+        rejected = "data error: score: the blur's radius exceeds the 2 x 2 map\n"
         assert capsys.readouterr().err == ("" if code == 0 else rejected)
+
+    @pytest.mark.parametrize("command", ["score", "extrapolate"])
+    @pytest.mark.parametrize("shape", [(0, 4, 2), (4, 0, 2)])
+    def test_feature_map_of_no_pixels_is_3_and_names_the_file(
+        self, tmp_path, capsys, command, shape
+    ):
+        empty = tmp_path / "empty.ulre"
+        write_tensor_file(empty, {"features": np.zeros(shape)})
+        base = small_config(tmp_path, command)
+        key = {"score": "features", "extrapolate": "eval_features"}[command]
+        cfg = write_config(tmp_path / "c.cfg", **{**base, key: empty})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        want = f"data error: {empty}: 'features' has no pixels\n"
+        assert capsys.readouterr().err == want
 
     def test_success_is_0(self, tmp_path):
         cfg = write_config(
@@ -1037,7 +1047,6 @@ class TestToyGaussianCommand:
             {
                 "n_per_class": "2000",
                 "epochs": "3",
-                "learning_rate": "1e-3",
                 "batch_size": "256",
                 "seed": "1",
             },

@@ -102,7 +102,7 @@ PINNED = {
         "100f589e6daf34453a8a160f18aaff281e696ab4f0ac837e0d3aaffe1b9822d3"
     ),
     "edl/manifest.json": (
-        "4cc7d9b457c9599e3e2537f837954e084ff5be707492d92737d98a2009938293"
+        "447e717cb9d0b6bc9285892fddbdb745dabb604c5b2fa98d333339e1831c83b5"
     ),
     "edl/model.ulre": (
         "f8dbe62de85b8d61ec91fe80070bb93ed9535147f5dea2b128f97d954c668d76"
@@ -111,7 +111,7 @@ PINNED = {
         "25d782207607aa8839c53c726baadb79bd5057c0c3422a1ff03bb28d66bb1648"
     ),
     "bce/manifest.json": (
-        "ffd28499e75ac53f25b0a0f9a9902eed16e82df42d5021c7651b60899e872aab"
+        "6923216c6a9ab14ce6f77cee8cc450bf09181a64aaf733f930dd2d8280ac1bc7"
     ),
     "bce/model.ulre": (
         "4ce3c0d6320a00fdfaa4f35a1a60126065d9bc3f3416f3fc388792c8e5a70fd1"
@@ -120,19 +120,19 @@ PINNED = {
         "78219fa9063388009e3fe930c4e214043ae8b2b096ae39208a1720cd789ab701"
     ),
     "score_edl/manifest.json": (
-        "65b402efdad1e4c48d70d598b137f6f5b2274042eb8fd69a07279a5209cb3df2"
+        "41278eba3e94bfd8840e8c12986c2678eb98a231d1f457e8e7032ee7e1619ec7"
     ),
     "score_edl/scores.ulre": (
         "fb1e8cc1a5178670dc2f355bf08ef57d71554849028ad5c5ce8fea35bdacbe78"
     ),
     "score_bce/manifest.json": (
-        "df041741ce011d05f211c8438b8c57d3cf607e802a39ab4c3f15425665e1edf2"
+        "7e1243b9f0209bd306735b55b36dbbbbd1692bea73faaa7a093dcbce1af07162"
     ),
     "score_bce/scores.ulre": (
         "286d4e90d5bc6ac715ac9a9b36dedb964d00886885217161959634b959e846d2"
     ),
     "score_upsampled/manifest.json": (
-        "8398f4eaa49f78e429b5b2ad07c820c42c70e2d2a027027308bd7c3a8cac90fa"
+        "23ffc8e2aba3d6cdaa65cfb0c8b305fe995ab4eac847ce565e9223b5d64ffdd4"
     ),
     "score_upsampled/scores.ulre": (
         "96d275cbaea33a40715a06d1ba223406eebcdeb5e9c7d92c23de0eff318d8a3d"
@@ -150,10 +150,10 @@ PINNED = {
         "bef05584508120cbfb1a4da6e408d8b411c92d8ef8041223c6f1571666ac794a"
     ),
     "extrapolate/manifest.json": (
-        "01f46c26c0e6dee1ea186dec1c53f57d402569491f611d173f12da742b42caeb"
+        "d60577f18f90b05db3e062f2c17a70038136780ede6731b429872f21cb8ee87e"
     ),
     "toy/manifest.json": (
-        "8e05963ac4966c4becf77e587f38efe5aa62eff3dead80dd7c3a8c4cc71edb70"
+        "eb8cc6f348cc01442c275fbf79072eddb15e8cf74d86e0033973f31e889a7836"
     ),
     "toy/toy_grid.csv": (
         "f0d1847b0a955c48c3618c777a4f8577bfbf86f00526eb7195a4a70723768a03"

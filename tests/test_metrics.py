@@ -283,14 +283,14 @@ class TestApAndFpr95MatchesArgsortReference:
 
 class TestPostprocess:
     def test_constant_preserved_at_new_size(self):
-        out = postprocess_scores(np.full((4, 4), 2.0), 9, 13, 1.0)
+        out = postprocess_scores(np.full((4, 4), 2.0), 9, 13)
         assert out.shape == (9, 13)
         np.testing.assert_allclose(out, 2.0, rtol=1e-12)
 
     def test_impulse_composes_documented_kernels(self):
         rng = np.random.default_rng(5)
         raw = np.exp(rng.normal(size=(6, 8)))
-        got = postprocess_scores(raw, 12, 16, 1.0)
+        got = postprocess_scores(raw, 12, 16)
         # independent composition: hand-rolled bilinear gather, then scipy blur
         from scipy import ndimage
 
@@ -320,12 +320,12 @@ class TestPostprocess:
     def test_preserves_positivity(self):
         rng = np.random.default_rng(6)
         raw = np.exp(rng.normal(size=(10, 10)) * 3)
-        out = postprocess_scores(raw, 20, 20, 1.0)
+        out = postprocess_scores(raw, 20, 20)
         assert np.all(out > 0.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            postprocess_scores(np.zeros((3, 3)), 6, 6, 1.0)
+            postprocess_scores(np.zeros((3, 3)), 6, 6)
 
 
 class TestExtrapolationAnalysis:

@@ -426,7 +426,7 @@ def _reference_train(model, x, labels, cfg):
     n = x.shape[0]
     if cfg.early_stopping:
         split = rng.permutation(n)
-        n_val = max(1, int(round(n * cfg.val_fraction)))
+        n_val = max(1, int(round(n * mdl._VAL_FRACTION)))
         val_idx, train_idx = split[:n_val], split[n_val:]
     else:
         val_idx, train_idx = np.empty(0, dtype=np.intp), np.arange(n)
@@ -612,7 +612,6 @@ class TestTrain:
             seed=18,
             early_stopping=True,
             patience=2,
-            val_fraction=0.2,
         )
         m, report = mdl.train(mdl.init_model([2, 8, 2], 19), x, y, cfg)
         assert report.best_epoch is not None
@@ -623,7 +622,7 @@ class TestTrain:
         from ulre.numkernel import Rng
 
         split = Rng(cfg.seed).permutation(len(x))
-        n_val = max(1, int(round(len(x) * cfg.val_fraction)))
+        n_val = max(1, int(round(len(x) * mdl._VAL_FRACTION)))
         val_idx = split[:n_val]
         val = mdl._fit_loss(m, x[val_idx], ev.one_hot(y[val_idx]))
         assert val == pytest.approx(best, rel=1e-12)

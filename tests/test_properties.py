@@ -202,19 +202,15 @@ def test_eval_exits_0_or_with_one_error_line(tmp_path, fault, data):
 
 
 # Every config key takes these values, and those near its rule's edges below.
-# Left out, as they pass their rules but ask for slow runs: grid_step at its
-# edge (10**6 grid points) and bin_width at its edge (10**6 distance bins).
+# Left out, as it passes its rule but asks for a slow run: grid_step at its
+# edge (10**6 grid points).
 VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "", "x"]
 EDGES = {
     "seed": [2**64 - 5, 2**64 - 4],
     "scene_seed": [2**63 - 1, 2**63],  # n_scenes = 1
     "head": ["evidential", "sigmoid"],
     "hidden_dims": ["1", "4,0"],
-    "val_fraction": [1],
-    "grid_hi": [-6],  # grid_lo's default
-    "grid_lo": [1.5, 1.51],  # grid_hi 6, grid_step 0.5: two, one point in [-2, 2]
-    "bin_width": [1.9e-6],
-    "sigma": [2.66, 2.67, 1e4],  # 8 x 8 map: 3 * sigma must be <= 8
+    "grid_step": [4, 5],  # the grid [-6, 6]: two, one point in [-2, 2]
     "dim": [1, 2],
     "n_classes": [1, 255, 256],
     "ood_index": [1, 2],  # cli._N_OOD_DIRECTIONS = 2
@@ -260,22 +256,11 @@ def test_every_command_exits_0_2_3_or_4_on_one_drawn_value(
     _check_exit_contract(tmp_path, command, {**tiny_configs[command], key: value})
 
 
-@pytest.mark.parametrize(
-    "grid", [dict(grid_lo=3, grid_hi=6), dict(grid_lo=1.99, grid_hi=2.01)]
-)
+# grids of [-6, 6] with one and no points in [-2, 2], where the summary fits
+# its ln LR slope, which used to exit 1 or fit one point
+@pytest.mark.parametrize("grid", [dict(grid_step=5), dict(grid_step=13)])
 def test_toy_grid_missing_the_center_is_a_config_error(tmp_path, tiny_configs, grid):
     code, lines = _check_exit_contract(
         tmp_path, "toy-gaussian", {**tiny_configs["toy-gaussian"], **grid}
     )
-    assert code == 2 and lines[0].startswith("config error: config key 'grid_lo': ")
-
-
-@pytest.mark.parametrize("sigma,exits", [(2.66, 0), (2.67, 3), (1e4, 3), (1e300, 3)])
-def test_sigma_wider_than_the_map_is_rejected_before_the_blur(
-    tmp_path, tiny_configs, sigma, exits
-):
-    code, lines = _check_exit_contract(
-        tmp_path, "score", {**tiny_configs["score"], "sigma": sigma}
-    )
-    assert code == exits
-    assert code == 0 or lines[0].startswith("data error: sigma: ")
+    assert code == 2 and lines[0].startswith("config error: config key 'grid_step': ")
