@@ -300,12 +300,13 @@ def _records(path, records=None, **ranks) -> list[np.ndarray]:
     return found
 
 
-def _feature_map(path) -> np.ndarray:
-    """The 'features' record of a file: an H x W x D map of at least one pixel."""
-    [fmap] = _records(path, features=3)
+def _feature_map(path, **ranks) -> list[np.ndarray]:
+    """The 'features' record of a file, an H x W x D map of at least one
+    pixel, then the records named in `ranks`, as `_records` reads them."""
+    fmap, *rest = _records(path, features=3, **ranks)
     if fmap.shape[0] * fmap.shape[1] == 0:
         raise DataError(f"{path}: 'features' has no pixels")
-    return fmap
+    return [fmap, *rest]
 
 
 def _positives(path, shape, records=None) -> np.ndarray:
@@ -416,7 +417,12 @@ def cmd_train(resolved: dict, out_dir: Path) -> list[str]:
 
 def cmd_score(resolved: dict, out_dir: Path) -> list[str]:
     model = mdl.load_model(resolved["checkpoint"])
-    fmap = _feature_map(resolved["features"])
+    [fmap] = _feature_map(resolved["features"])
+    if fmap.shape[2] != model.layer_dims[0]:
+        raise DataError(
+            f"{resolved['features']}: feature depth {fmap.shape[2]} != "
+            f"{resolved['checkpoint']}'s input width {model.layer_dims[0]}"
+        )
     out_h = resolved["out_height"] or fmap.shape[0]
     out_w = resolved["out_width"] or fmap.shape[1]
     if 3.0 * metrics.BLUR_SIGMA > max(out_h, out_w):  # radius: ceil(3 sigma)
@@ -462,38 +468,55 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
-    checkpoints = {
-        kind: resolved[f"checkpoint_{head.tag}"]
-        for kind, head in mdl.HEADS.items()
-        if resolved[f"checkpoint_{head.tag}"]
-    }
-    feats, ids = _records(resolved["train_features"], features=3, class_ids=None)
+    train_path, eval_path = resolved["train_features"], resolved["eval_features"]
+    feats, ids = _feature_map(train_path, class_ids=None)
     if ids.shape != feats.shape[:2]:
-        raise DataError("extrapolate: malformed training features/class_ids")
+        raise DataError(
+            f"{train_path}: 'class_ids' shape {ids.shape} != 'features' "
+            f"{feats.shape[:2]}"
+        )
     flat_ids = ids.reshape(-1)
     present = np.unique(flat_ids)
-    expected = np.arange(present.max() + 1) if len(present) else present
+    expected = np.arange(int(present.max()) + 1)  # max + 1 may overflow its dtype
     missing = sorted(set(expected.tolist()) - set(present.tolist()))
     if missing:
-        raise DataError(f"extrapolate: class ids missing from class_ids: {missing}")
-    unit_means = class_means(feats.reshape(-1, feats.shape[2]), flat_ids)
-
-    emap = _feature_map(resolved["eval_features"])
-    if emap.shape[2] != feats.shape[2]:
-        raise DataError("extrapolate: eval features dim mismatch")
-    rows = emap.reshape(-1, emap.shape[2])
-
-    outputs = []
-    for kind, ckpt in checkpoints.items():
-        head = mdl.HEADS[kind]
-        model = mdl.load_model(ckpt)
+        raise DataError(f"{train_path}: class ids missing from 'class_ids': {missing}")
+    dim = feats.shape[2]
+    [emap] = _feature_map(eval_path)
+    if emap.shape[2] != dim:
+        raise DataError(
+            f"{eval_path}: feature depth {emap.shape[2]} != {train_path}'s {dim}"
+        )
+    models = {}
+    for kind, head in mdl.HEADS.items():
+        ckpt = resolved[f"checkpoint_{head.tag}"]
+        if not ckpt:
+            continue
+        models[kind] = model = mdl.load_model(ckpt)
         if model.head != kind:
             raise DataError(
-                f"extrapolate: checkpoint_{head.tag} has head {model.head!r}, "
-                f"expected {kind!r}"
+                f"{ckpt}: head {model.head!r}, expected {kind!r} for "
+                f"checkpoint_{head.tag}"
             )
+        if model.layer_dims[0] != dim:
+            raise DataError(
+                f"{ckpt}: input width {model.layer_dims[0]} != {eval_path}'s "
+                f"feature depth {dim}"
+            )
+    try:
+        unit_means = class_means(feats.reshape(-1, dim), flat_ids)
+    except DataError as exc:  # a class whose mean has zero norm
+        raise DataError(f"{train_path}: {exc}") from exc
+    rows = emap.reshape(-1, dim)
+
+    outputs = []
+    for kind, model in models.items():
+        head = mdl.HEADS[kind]
         probs = head.prob(mdl.forward(model, rows))
-        analysis = metrics.extrapolation_analysis(rows, unit_means, probs)
+        try:
+            analysis = metrics.extrapolation_analysis(rows, unit_means, probs)
+        except DataError as exc:  # a feature vector of zero norm
+            raise DataError(f"{eval_path}: {exc}") from exc
         name = f"extrapolation_{head.tag}.csv"
         (out_dir / name).write_text(metrics.binned_csv(analysis), "utf-8")
         outputs.append(name)

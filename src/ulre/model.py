@@ -35,13 +35,13 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
-# The most rows in one block of `forward`, and the row multiple that every
-# inner block boundary falls on. Both are part of the byte contract, because
-# a matmul's result bits can depend on its row count (a 1-row product goes
-# through numpy's gemv; a one-column one computes the rows past the last
-# multiple of 4 with another kernel), so no block is a short tail. A 256-row
-# float32 block of a 256-wide layer (256 KiB) stays in cache from its matmul
-# through the bias add and the leaky ReLU into the next layer.
+# The most rows in one block of `forward`, and the row multiple of every
+# inner block bound and of the training step's row count. A matmul's bits
+# can depend on its row count (1 row goes through gemv; one column runs the
+# rows past a multiple of 4 on another kernel; a weight gradient's can vary
+# with the BLAS thread count), so both are part of the byte contract.
+# A 256-row float32 block of a 256-wide layer (256 KiB) stays in cache from
+# its matmul through the bias add and the leaky ReLU into the next layer.
 _BLOCK_ROWS = 256
 _FORWARD_ALIGN = 64
 # The leaky ReLU is max(z, _SLOPE * z). As _SLOPE > 0, an activation is > 0
@@ -315,15 +315,15 @@ class _Step:
     `train` gives float32 against float64 master parameters, the scheme of
     Micikevicius et al., "Mixed Precision Training" (ICLR 2018): each call
     copies the model's parameters into a `dtype` vector laid out by
-    `_views`, while the head's loss and logit gradient and the flat
-    gradient `grad` that Adam reads are float64. The buffers are allocated
-    once, in `dtype`: the batch, one activation h per hidden layer and the
-    logits, which `_logit_rows` fills with the batch as one block, and a
-    scratch of rows x the widest hidden layer. The logits then take the
-    head's logit gradient / n. Backward, once a layer's weight gradient has
-    read h, h becomes the leaky-ReLU mask, delta @ W.T goes into the
-    scratch, and their product (the next delta) into h. Each call
-    overwrites `grad` and returns the `dtype` gradient's views.
+    `_views`; the head's loss and logit gradient and the flat gradient
+    `grad` that Adam reads are float64. Every batch runs at `rows` rounded
+    up to a multiple of _FORWARD_ALIGN, in `dtype` buffers allocated once:
+    the batch (zero past its n rows), an activation h per hidden layer, the
+    logits and a scratch of rows x the widest hidden layer. The head reads
+    n logits, which take its gradient / n, the rest zero: padding adds 0 to
+    every gradient. Backward, h becomes the leaky-ReLU mask after its weight
+    gradient, delta @ W.T goes into the scratch and their product (the next
+    delta) into h. Each call overwrites `grad` and returns its `dtype` views.
     """
 
     def __init__(self, model: Estimator, rows: int, dtype):
@@ -333,7 +333,8 @@ class _Step:
         self.grad = np.zeros(sum(p.size for p in model.weights + model.biases))
         self.params = np.empty(self.grad.size, dtype)
         self.weights, self.biases = _views(self.params, dims)
-        self.x = np.empty((rows, dims[0]), dtype)
+        rows = -(-rows // _FORWARD_ALIGN) * _FORWARD_ALIGN
+        self.x = np.zeros((rows, dims[0]), dtype)
         self.h = [np.empty((rows, d), dtype) for d in hidden]
         self.logits = np.empty((rows, dims[-1]), dtype)
         self.scratch = np.empty(rows * max(hidden, default=0), dtype)
@@ -345,15 +346,17 @@ class _Step:
         for view, p in zip(self.weights + self.biases, model.weights + model.biases):
             view[...] = p
         n = xb.shape[0]
-        x = self.x[:n]
-        x[...] = xb
+        self.x[:n] = xb
+        self.x[n:] = 0
+        _logit_rows(self.weights, self.biases, self.x, self.h, self.scratch, self.logits)
         z = self.logits[:n]
-        _logit_rows(self.weights, self.biases, x, self.h, self.scratch, z)
         z64 = z.astype(np.float64, copy=False)  # z itself in float64
         loss, delta = HEADS[model.head].loss_and_grad(z64, y_onehot, epoch)
-        delta = np.divide(delta, n, out=z)
+        np.divide(delta, n, out=z)
+        self.logits[n:] = 0
+        delta = self.logits
         for i in range(len(self.weights) - 1, -1, -1):
-            h = self.h[i - 1][:n] if i > 0 else x
+            h = self.h[i - 1] if i > 0 else self.x
             np.matmul(h.T, delta, out=self.grads_w[i])
             np.sum(delta, axis=0, out=self.grads_b[i])
             if i > 0:

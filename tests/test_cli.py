@@ -572,6 +572,63 @@ class TestExitCodes:
         want = f"data error: {empty}: 'features' has no pixels\n"
         assert capsys.readouterr().err == want
 
+    # Each case holds inputs that pass their own checks but disagree with
+    # each other, or a class or a pixel that the extrapolation cannot use.
+    # Training features of 4 x 4 x 4 ones, class 0 in the left half; eval
+    # features the same; an evidential checkpoint 4 wide.
+    @pytest.mark.parametrize(
+        "command,change,named,message",
+        [
+            ("score", {"eval": np.ones((4, 4, 5))}, "eval",
+             "feature depth 5 != {model}'s input width 4"),
+            ("extrapolate", {"eval": np.ones((4, 4, 5))}, "eval",
+             "feature depth 5 != {train}'s 4"),
+            ("extrapolate", {"width": 3}, "model",
+             "input width 3 != {eval}'s feature depth 4"),
+            ("extrapolate", {"train": np.ones((0, 4, 4)), "ids": np.zeros((0, 4))},
+             "train", "'features' has no pixels"),
+            ("extrapolate", {"ids": np.zeros((4, 3))}, "train",
+             "'class_ids' shape (4, 3) != 'features' (4, 4)"),
+            ("extrapolate", {"ids": np.tile([0, 0, 2, 2], (4, 1))}, "train",
+             "class ids missing from 'class_ids': [1]"),
+            ("extrapolate", {"ids": np.tile([0, 0, 255, 255], (4, 1))}, "train",
+             f"class ids missing from 'class_ids': {list(range(1, 255))}"),
+            ("extrapolate", {"train": np.ones((4, 4, 4)) * [[0], [0], [1], [1]]},
+             "train", "class_means: class 0 mean has zero norm"),
+            ("extrapolate", {"eval": np.ones((4, 4, 4)) * [[[0]], [[1]], [[1]], [[1]]]},
+             "eval", "extrapolation_analysis: zero feature vector"),
+        ],
+        ids=["score-depth", "eval-depth", "checkpoint-width", "no-train-pixels",
+             "class-ids-shape", "class-id-gap", "class-id-255", "zero-class-mean",
+             "zero-eval-row"],
+    )
+    def test_inputs_that_disagree_are_3_and_name_the_file(
+        self, tmp_path, capsys, command, change, named, message
+    ):
+        paths = {name: tmp_path / f"{name}.ulre" for name in ("train", "eval", "model")}
+        ids = change.get("ids", np.tile([0, 0, 1, 1], (4, 1)))
+        write_tensor_file(
+            paths["train"],
+            {"features": change.get("train", np.ones((4, 4, 4))),
+             "class_ids": ids.astype(np.uint8)},
+        )
+        eval_features = change.get("eval", np.ones((4, 4, 4)))
+        write_tensor_file(paths["eval"], {"features": eval_features})
+        width = change.get("width", 4)
+        mdl.save_model(paths["model"], mdl.init_model([width, 8, 2], seed=0))
+        inputs = {
+            "score": {"checkpoint": paths["model"], "features": paths["eval"]},
+            "extrapolate": {"train_features": paths["train"],
+                            "eval_features": paths["eval"],
+                            "checkpoint_edl": paths["model"]},
+        }[command]
+        cfg = write_config(tmp_path / "c.cfg", **inputs)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+        want = f"data error: {paths[named]}: {message.format(**paths)}\n"
+        assert capsys.readouterr().err == want
+        assert not list(out.glob("*.csv"))
+
     def test_success_is_0(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.cfg", n_scenes=1, height=8, width=8, dim=3, n_classes=2,

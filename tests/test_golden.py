@@ -1,14 +1,16 @@
 """Golden bytes: small fixed runs of all six subcommands, with both heads
 where a head applies, and the sha256 of every file they write.
 
-The runs happen in one child process with OpenBLAS pinned to one thread,
-because some output bits depend on the BLAS thread count (README). On a
-host with 2 or more cores, that child's `forward` shares its 256-row
-blocks between worker threads, so the pins also hold the multi-worker path
-to the bytes of one worker. They run from a scratch directory with
-relative paths, so the manifests, which record the config, are the same in
-every checkout. The scenes have 97 x 175 = 16,975 rows, so `forward`'s
-last block is not a multiple of 64 rows.
+The runs happen in one child process, once with OpenBLAS pinned to one
+thread and once to two, and both must match the same pins: no output
+depends on the BLAS thread count (README). On a 2-core host the
+one-thread child's `forward` shares its 256-row blocks between two worker
+threads and the two-thread child's runs them on one, so the pins also hold
+the multi-worker path to the bytes of one worker. They run from a scratch
+directory with relative paths, so the manifests, which record the config,
+are the same in every checkout. The scenes have 97 x 175 = 16,975 rows, so
+`forward`'s last block is not a multiple of 64 rows, and the `train` runs
+end every epoch on an 859-row batch.
 
 The pins hold only for the OpenBLAS build and CPU kernel they were taken
 with: OpenBLAS 0.3.31 (scipy-openblas64, a DYNAMIC_ARCH build) running its
@@ -20,8 +22,8 @@ then the pins fail with no change to the code.
 
 A change that moves an output byte on purpose updates the pins and states
 the size of the change and its reason in CHANGES.md. Two more tests check
-that both heads' `score` and `extrapolate` bytes and the evidential head's
-`train` bytes are the same on 1 and 2 threads.
+that both heads' `score`, `extrapolate` and `train` bytes are the same on 1
+and 2 threads, at larger maps and at other ragged batches.
 """
 
 import json
@@ -31,6 +33,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ulre import cli
 from ulre import model as mdl
@@ -111,13 +114,13 @@ PINNED = {
         "25d782207607aa8839c53c726baadb79bd5057c0c3422a1ff03bb28d66bb1648"
     ),
     "bce/manifest.json": (
-        "6923216c6a9ab14ce6f77cee8cc450bf09181a64aaf733f930dd2d8280ac1bc7"
+        "95872036d32dcdf7819f7062d4a64bde61a4655f700cec2df1f5330a92133425"
     ),
     "bce/model.ulre": (
-        "4ce3c0d6320a00fdfaa4f35a1a60126065d9bc3f3416f3fc388792c8e5a70fd1"
+        "e621ebb12988d9ec9f26b01662a34760c0d0e2af60104b9a33448168d7592d07"
     ),
     "bce/train_report.json": (
-        "78219fa9063388009e3fe930c4e214043ae8b2b096ae39208a1720cd789ab701"
+        "f5d901a79e35351dc62b0fc9bc7719f4e3fd74c071be789a63f286d339016c88"
     ),
     "score_edl/manifest.json": (
         "41278eba3e94bfd8840e8c12986c2678eb98a231d1f457e8e7032ee7e1619ec7"
@@ -126,10 +129,10 @@ PINNED = {
         "fb1e8cc1a5178670dc2f355bf08ef57d71554849028ad5c5ce8fea35bdacbe78"
     ),
     "score_bce/manifest.json": (
-        "7e1243b9f0209bd306735b55b36dbbbbd1692bea73faaa7a093dcbce1af07162"
+        "0108274be9a5161a497ef7b0a991f5327e7d7df4ae1716a0509a3c55c110a5a2"
     ),
     "score_bce/scores.ulre": (
-        "286d4e90d5bc6ac715ac9a9b36dedb964d00886885217161959634b959e846d2"
+        "f1f361ff8ce6d4a24502b74887e0db019affd473b5cb80e33414942cfcdf0b18"
     ),
     "score_upsampled/manifest.json": (
         "23ffc8e2aba3d6cdaa65cfb0c8b305fe995ab4eac847ce565e9223b5d64ffdd4"
@@ -144,13 +147,13 @@ PINNED = {
         "b1ed8d78bdc8a6f569a5df2f46393459e14a462d74c845be106c6eb41a27ac5c"
     ),
     "extrapolate/extrapolation_bce.csv": (
-        "cb0279a3ebe02d407482716205242933de09fd48da2e5a970c38942dfb03f04f"
+        "e441a350f4517b41c9ed8ade21720f4ae7f112b1a56c6be9c0a0597e9e69554b"
     ),
     "extrapolate/extrapolation_edl.csv": (
         "bef05584508120cbfb1a4da6e408d8b411c92d8ef8041223c6f1571666ac794a"
     ),
     "extrapolate/manifest.json": (
-        "d60577f18f90b05db3e062f2c17a70038136780ede6731b429872f21cb8ee87e"
+        "352c745e3cd4f98d61a514bc4352b2205cad1c21e1765e43a3279b5984213c5b"
     ),
     "toy/manifest.json": (
         "eb8cc6f348cc01442c275fbf79072eddb15e8cf74d86e0033973f31e889a7836"
@@ -207,13 +210,23 @@ def extrapolate_csvs(out: str) -> dict[str, str]:
     return {p.name: cli._sha256(p) for p in sorted(Path(out).glob("*.csv"))}
 
 
-def train_checkpoint(out: str) -> str:
-    """Train an evidential 16-256-64-2 net on `rows.ulre` in the current
-    directory, with early stopping off; return the checkpoint's sha256."""
-    cfg = {"features": "rows.ulre", "labels": "rows.ulre", "epochs": "2",
-           "learning_rate": "1e-3", "batch_size": "1024"}
-    _cli("train", out, cfg)
-    return cli._sha256(Path(out, "model.ulre"))
+def train_checkpoints(prefix: str) -> dict[str, str]:
+    """Train a 16-256-64 net of each head on `rows.ulre` in the current
+    directory twice, for 2 epochs: in 1,000-row batches, and with early
+    stopping in 1,024-row batches; return the sha256 of each checkpoint,
+    keyed by head and run."""
+    hashes = {}
+    for head, kind in mdl.HEADS.items():
+        for run, extra in (
+            ("b1000", {"batch_size": "1000"}),
+            ("early", {"batch_size": "1024", "early_stopping": "true"}),
+        ):
+            out = f"{prefix}_{kind.tag}_{run}"
+            _cli("train", out, {"features": "rows.ulre", "labels": "rows.ulre",
+                                "head": head, "epochs": "2",
+                                "learning_rate": "1e-3", **extra})
+            hashes[f"{kind.tag}_{run}"] = cli._sha256(Path(out, "model.ulre"))
+    return hashes
 
 
 def _in_child(call: str, cwd: Path, blas_threads: int):
@@ -234,8 +247,9 @@ def _in_child(call: str, cwd: Path, blas_threads: int):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_outputs_match_pinned_hashes(tmp_path):
-    got = _in_child("test_golden.run_all()", tmp_path, blas_threads=1)
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_outputs_match_pinned_hashes(tmp_path, blas_threads):
+    got = _in_child("test_golden.run_all()", tmp_path, blas_threads=blas_threads)
     assert sorted(got) == sorted(PINNED)
     assert {k: v for k, v in got.items() if PINNED[k] != v} == {}
 
@@ -271,19 +285,20 @@ def test_score_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert one == two
 
 
-def test_evidential_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 8,192 rows make eight full batches of 1,024 per epoch. The weight
-    # gradients' bits depend on the thread count at some batch row counts
-    # and not at others (README), 1,024 among the latter, so no batch here
-    # is a short one.
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 48 x 91 = 4,368 rows: in 1,000-row batches each epoch ends on 368
+    # rows; early stopping holds out 437 and leaves 3,931 = 3 x 1,024 + 859.
+    # A weight gradient over 859 or 1,000 rows changes bits with the thread
+    # count, so the step runs every batch at one multiple of 64 rows.
     rng = np.random.default_rng(8)
     write_tensor_file(
         tmp_path / "rows.ulre",
-        {"features": rng.normal(size=(64, 128, 16)),
-         "labels": rng.integers(0, 2, size=(64, 128), dtype=np.uint8)},
+        {"features": rng.normal(size=(48, 91, 16)),
+         "labels": rng.integers(0, 2, size=(48, 91), dtype=np.uint8)},
     )
     one, two = (
-        _in_child(f"test_golden.train_checkpoint('t{n}')", tmp_path, blas_threads=n)
+        _in_child(f"test_golden.train_checkpoints('t{n}')", tmp_path, blas_threads=n)
         for n in (1, 2)
     )
+    assert len(one) == 4
     assert one == two

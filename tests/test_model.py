@@ -370,7 +370,8 @@ class TestBackprop:
 # The training step as it was before the buffered step and in-place Adam:
 # fresh activation, delta, gradient and Adam arrays for every batch, with
 # the activation kernels in their np.where forms. The network and its
-# backward pass run in `dtype`, the head in float64. The buffered step must
+# backward pass run in `dtype`, the head in float64, over the batch and its
+# logit gradient zero-padded to the step's row count. The buffered step must
 # reproduce it bit for bit.
 def _reference_forward_cached(weights, biases, x):
     acts = [x]
@@ -399,12 +400,14 @@ def _reference_backward(weights, acts, pres, dlogits):
     return grads_w, grads_b
 
 
-def _reference_batch(model, xb, y_onehot, epoch, dtype):
+def _reference_batch(model, xb, y_onehot, epoch, dtype, rows):
     weights = [w.astype(dtype) for w in model.weights]
     biases = [b.astype(dtype) for b in model.biases]
-    acts, pres = _reference_forward_cached(weights, biases, xb.astype(dtype))
-    logits = acts[-1].astype(np.float64)
     n = xb.shape[0]
+    x = np.zeros((rows, xb.shape[1]), dtype)
+    x[:n] = xb
+    acts, pres = _reference_forward_cached(weights, biases, x)
+    logits = acts[-1][:n].astype(np.float64)
     if model.head == "evidential":
         alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
         lam = ev.lambda_schedule(epoch)
@@ -415,7 +418,9 @@ def _reference_batch(model, xb, y_onehot, epoch, dtype):
         z, y1 = logits[:, 0], y_onehot[:, 1]
         loss = float(np.mean(ev.bce_loss_from_logit(z, y1)))
         dlogits = (ev.bce_grad_from_logit(z, y1) / n)[:, None]
-    grads = _reference_backward(weights, acts, pres, dlogits.astype(dtype))
+    padded = np.zeros((rows, dlogits.shape[1]), dtype)
+    padded[:n] = dlogits
+    grads = _reference_backward(weights, acts, pres, padded)
     return (loss, *([g.astype(np.float64) for g in gs] for gs in grads))
 
 
@@ -431,6 +436,7 @@ def _reference_train(model, x, labels, cfg):
     else:
         val_idx, train_idx = np.empty(0, dtype=np.intp), np.arange(n)
     x_train, y_train = x[train_idx], y[train_idx]
+    rows = -(-cfg.batch_size // mdl._FORWARD_ALIGN) * mdl._FORWARD_ALIGN
     params = model.weights + model.biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -444,7 +450,7 @@ def _reference_train(model, x, labels, cfg):
         for start in range(0, x_train.shape[0], cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             xb, yb = x_train[batch], y_train[batch]
-            loss, gw, gb = _reference_batch(model, xb, yb, epoch, np.float32)
+            loss, gw, gb = _reference_batch(model, xb, yb, epoch, np.float32, rows)
             t += 1
             bc1 = 1.0 - beta1**t
             bc2 = 1.0 - beta2**t
@@ -523,7 +529,9 @@ class TestBufferedStep:
             y = ev.one_hot(rng.integers(0, 2, rows))
             for epoch in (0, 4, 12):
                 loss, gw, gb = step(x, y, epoch)
-                want_loss, want_w, want_b = _reference_batch(m, x, y, epoch, np.float64)
+                want_loss, want_w, want_b = _reference_batch(
+                    m, x, y, epoch, np.float64, 64
+                )
                 assert loss == want_loss
                 for a, b in zip(gw + gb, want_w + want_b):
                     assert np.array_equal(a, b)
