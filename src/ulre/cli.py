@@ -426,7 +426,10 @@ def cmd_score(resolved: dict, out_dir: Path) -> list[str]:
     out_h = resolved["out_height"] or fmap.shape[0]
     out_w = resolved["out_width"] or fmap.shape[1]
     if 3.0 * metrics.BLUR_SIGMA > max(out_h, out_w):  # radius: ceil(3 sigma)
-        raise DataError(f"score: the blur's radius exceeds the {out_h} x {out_w} map")
+        raise DataError(
+            f"{resolved['features']}: the blur's radius exceeds the "
+            f"out_height x out_width = {out_h} x {out_w} output map"
+        )
     raw = mdl.HEADS[model.head].score(mdl.predict_map(model, fmap))
     scores = metrics.postprocess_scores(raw, out_h, out_w)
     write_tensor_file(out_dir / "scores.ulre", {"scores": scores})

@@ -555,7 +555,10 @@ class TestExitCodes:
         if code:  # the map is rejected before it is scored
             monkeypatch.setattr(mdl, "predict_map", lambda *a: pytest.fail("scored"))
         assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "o")]) == code
-        rejected = "data error: score: the blur's radius exceeds the 2 x 2 map\n"
+        rejected = (
+            f"data error: {base['features']}: the blur's radius exceeds the "
+            "out_height x out_width = 2 x 2 output map\n"
+        )
         assert capsys.readouterr().err == ("" if code == 0 else rejected)
 
     @pytest.mark.parametrize("command", ["score", "extrapolate"])

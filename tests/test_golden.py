@@ -4,13 +4,14 @@ where a head applies, and the sha256 of every file they write.
 The runs happen in one child process, once with OpenBLAS pinned to one
 thread and once to two, and both must match the same pins: no output
 depends on the BLAS thread count (README). On a 2-core host the
-one-thread child's `forward` shares its 256-row blocks between two worker
-threads and the two-thread child's runs them on one, so the pins also hold
-the multi-worker path to the bytes of one worker. They run from a scratch
-directory with relative paths, so the manifests, which record the config,
-are the same in every checkout. The scenes have 97 x 175 = 16,975 rows, so
-`forward`'s last block is not a multiple of 64 rows, and the `train` runs
-end every epoch on an 859-row batch.
+one-thread child's `forward` shares its blocks of at most `_BLOCK_ROWS`
+rows between two worker threads and the two-thread child's runs them on
+one, so the pins also hold the multi-worker path to the bytes of one
+worker. They run from a scratch directory with relative paths, so the
+manifests, which record the config, are the same in every checkout. The
+scenes have 97 x 175 = 16,975 rows, so `forward`'s last block is not a
+multiple of 64 rows, and the `train` runs end every epoch on an 859-row
+batch.
 
 The pins hold only for the OpenBLAS build and CPU kernel they were taken
 with: OpenBLAS 0.3.31 (scipy-openblas64, a DYNAMIC_ARCH build) running its
@@ -255,10 +256,11 @@ def test_outputs_match_pinned_hashes(tmp_path, blas_threads):
 
 
 def test_score_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 4,096, 16,385, 147,456 and 16,389 rows, each run as 256-row blocks.
-    # A one-column product (the sigmoid head's last layer) shares its rows
-    # between threads, so one over 16,385 or 16,389 rows gives other bits
-    # on 1 and 2 threads; a block of at most 256 rows does not. Both heads'
+    # 4,096, 16,385, 147,456 and 16,389 rows, each run as blocks of at most
+    # `_BLOCK_ROWS` rows. A one-column product (the sigmoid head's last
+    # layer) over 64 inputs shares its rows between threads from 7,201 rows
+    # on, so one over 16,385 or 16,389 rows gives other bits on 1 and 2
+    # threads; a block of at most 7,200 rows does not split. Both heads'
     # extrapolation CSVs over the 147,456 rows are held to the same.
     rng = np.random.default_rng(5)
     for head, kind in mdl.HEADS.items():

@@ -297,6 +297,24 @@ class TestForwardWorkers:
             sys.setswitchinterval(interval)
         assert most_threads > 1  # the pool ran some blocks
 
+    # _BLOCK_ROWS is chosen for speed: the shipped nets of both heads give
+    # the bits of 256-row blocks on blocks of _BLOCK_ROWS rows, on one worker
+    # and on two. The last block of all but 147,456 rows, at either size, is
+    # one row past a multiple of 4, the one-column kernel's step.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dims,head", [([16, 256, 64, 2], "evidential"),
+                                           ([16, 256, 64, 1], "sigmoid")])
+    def test_block_size_moves_no_bit(self, monkeypatch, workers, dims, head):
+        monkeypatch.setattr(mdl, "_workers", lambda: workers)
+        m = mdl.init_model(dims, seed=16, head=head)
+        x = np.random.default_rng(17).normal(size=(147_456, dims[0]))
+        for rows in (257, 4_097, 16_385, 16_389, 147_456):
+            got = mdl.forward(m, x[:rows])
+            with monkeypatch.context() as patch:
+                patch.setattr(mdl, "_BLOCK_ROWS", 256)
+                want = mdl.forward(m, x[:rows])
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_exception_propagates_and_threads_end(self, monkeypatch, failing):
         logit_rows = mdl._logit_rows
@@ -694,13 +712,14 @@ class TestPredictMap:
         with pytest.raises(ValueError):
             mdl.predict_map(m, np.zeros((4, 4, 5)))
 
-    def test_peak_memory_is_bounded(self):
-        # `forward` holds float32 256-row blocks of every layer and a scratch
-        # block, 0.58 MiB per worker, besides the 1 MiB of logits, in which
-        # the head computes its output. In a process of its own the peak read
-        # 1.7 MiB on one worker and 2.9 MiB on two (2.2 and 4.0 MiB with
-        # float64 blocks, 10.1 and 11.7 MiB with a 16,384-row last hidden
-        # activation, near 400 MiB in one pass over all rows).
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        # On each of two workers `forward` holds float32 768-row blocks of
+        # every layer and a scratch block, 1.74 MiB per worker, besides the
+        # 1 MiB of logits, in which the head computes its output. In a
+        # process of its own the peak read 5.21 MiB (2.90 MiB with 256-row
+        # blocks, 4.06 with 512 and 6.37 with 1,024; near 400 MiB in one
+        # pass over all rows).
+        monkeypatch.setattr(mdl, "_workers", lambda: 2)
         m = mdl.init_model([16, 256, 64, 2], seed=33)
         fmap = np.random.default_rng(34).normal(size=(256, 256, 16))
         tracemalloc.start()
