@@ -41,7 +41,7 @@ from .data import (
 from .model import TrainingDivergedError
 from .numkernel import Rng
 
-__all__ = ["ConfigError", "main", "run_command", "load_config"]
+__all__ = ["ConfigError", "main", "run_command", "load_config", "resolve_config"]
 
 
 class ConfigError(ValueError):
@@ -64,8 +64,14 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _parse_path(text: str) -> str:
+    if text and not Path(text).is_file():  # empty: an optional path left unset
+        raise ValueError(f"no such file: {text}")
+    return text
+
+
 def _parse_paths(text: str) -> list[str]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [_parse_path(p.strip()) for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty path list")
     return parts
@@ -99,8 +105,8 @@ SCHEMAS: dict[str, dict] = {
         **{f.name: (_PARSERS[type(f.default)], f.default) for f in _TRAIN_FIELDS},
     },
     "score": {
-        "checkpoint": (str, REQUIRED),
-        "features": (str, REQUIRED),
+        "checkpoint": (_parse_path, REQUIRED),
+        "features": (_parse_path, REQUIRED),
         "out_height": (int, 0),
         "out_width": (int, 0),
     },
@@ -109,10 +115,10 @@ SCHEMAS: dict[str, dict] = {
         "labels": (_parse_paths, REQUIRED),
     },
     "extrapolate": {
-        "train_features": (str, REQUIRED),
-        "eval_features": (str, REQUIRED),
-        "checkpoint_edl": (str, ""),
-        "checkpoint_bce": (str, ""),
+        "train_features": (_parse_path, REQUIRED),
+        "eval_features": (_parse_path, REQUIRED),
+        "checkpoint_edl": (_parse_path, ""),
+        "checkpoint_bce": (_parse_path, ""),
     },
     "gen-synthetic": {
         "seed": (int, 0),
@@ -156,6 +162,8 @@ def load_config(path) -> dict[str, str]:
 
 
 def resolve_config(command: str, raw: dict[str, str]) -> dict:
+    """The config of one command, each value parsed, every input path an
+    existing file and every value within its rule in `_RULES`."""
     schema = SCHEMAS[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -171,6 +179,9 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
             raise ConfigError(f"missing required config key {key!r} for {command}")
         else:
             resolved[key] = list(default) if isinstance(default, list) else default
+    for key, (test, rule) in _RULES.items():
+        if key in resolved and not test(resolved[key], resolved):
+            raise ConfigError(f"config key {key!r}: must be {rule}")
     return resolved
 
 
@@ -229,22 +240,6 @@ _RULES = {
     "scale_lo": _POSITIVE,
     "scale_hi": (lambda v, cfg: v >= cfg["scale_lo"], ">= scale_lo"),
 }
-
-
-def _check_values(resolved: dict) -> None:
-    """Raise a ConfigError naming the first key whose value breaks its rule."""
-    for key, (test, rule) in _RULES.items():
-        if key in resolved and not test(resolved[key], resolved):
-            raise ConfigError(f"config key {key!r}: must be {rule}")
-
-
-def _require_files(resolved: dict, keys: list[str]) -> None:
-    for key in keys:
-        value = resolved[key]
-        paths = value if isinstance(value, list) else [value]
-        for p in paths:
-            if p and not Path(p).is_file():
-                raise ConfigError(f"config key {key!r}: no such file: {p}")
 
 
 _HASH_CHUNK = 2**20  # bytes hashed per read
@@ -575,28 +570,25 @@ def cmd_gen_synthetic(resolved: dict, out_dir: Path) -> list[str]:
 
 
 _COMMANDS = {
-    "toy-gaussian": (cmd_toy_gaussian, []),
-    "train": (cmd_train, ["features", "labels"]),
-    "score": (cmd_score, ["checkpoint", "features"]),
-    "eval": (cmd_eval, ["scores", "labels"]),
-    "extrapolate": (
-        cmd_extrapolate,
-        ["train_features", "eval_features", "checkpoint_edl", "checkpoint_bce"],
-    ),
-    "gen-synthetic": (cmd_gen_synthetic, []),
+    "toy-gaussian": cmd_toy_gaussian,
+    "train": cmd_train,
+    "score": cmd_score,
+    "eval": cmd_eval,
+    "extrapolate": cmd_extrapolate,
+    "gen-synthetic": cmd_gen_synthetic,
 }
 
 
 def run_command(command: str, resolved: dict, out_dir) -> list[str]:
-    """Run one subcommand with a fully resolved config; returns output names."""
-    _check_values(resolved)
+    """Run one subcommand on a config from `resolve_config`; returns output
+    names. A float overflow, division by zero or invalid operation raises."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # such as a file where the directory or a parent is
         raise ConfigError(f"output directory {out_dir}: {exc.strerror}") from exc
-    handler, _ = _COMMANDS[command]
-    outputs = handler(resolved, out_dir)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        outputs = _COMMANDS[command](resolved, out_dir)
     _write_manifest(out_dir, command, resolved, outputs)
     return outputs + ["manifest.json"]
 
@@ -615,24 +607,20 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        if "seed" in SCHEMAS[name]:
-            p.add_argument("--seed", help="the config line seed=N, over the file's")
-    args = parser.parse_args(argv, argparse.Namespace(seed=None))  # None: no --seed
+    args = parser.parse_args(argv)
 
     try:
         raw = load_config(args.config) if args.config else {}
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        resolved = resolve_config(args.command, raw)
-        _require_files(resolved, _COMMANDS[args.command][1])
-        # a float overflow, division by zero or invalid operation: exit 4
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            run_command(args.command, resolved, args.out)
+        run_command(args.command, resolve_config(args.command, raw), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"data error: out of memory{detail}", file=sys.stderr)
         return 3
     except (TrainingDivergedError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -155,29 +155,24 @@ class TestConfigParsing:
         [("score", "checkpoint"), ("score", "features"), ("train", "labels"),
          ("extrapolate", "train_features"), ("extrapolate", "eval_features")],
     )
-    def test_empty_required_value_is_missing(self, command, key):
-        raw = {k: "a" for k, (_, default) in cli.SCHEMAS[command].items()
+    def test_empty_required_value_is_missing(self, tmp_path, command, key):
+        path = tmp_path / "a"
+        path.touch()
+        raw = {k: str(path) for k, (_, default) in cli.SCHEMAS[command].items()
                if default is cli.REQUIRED}
         missing = f"missing required config key {key!r}"
         with pytest.raises(cli.ConfigError, match=missing):
             cli.resolve_config(command, {**raw, key: ""})
 
-    def test_seed_override(self, tmp_path, monkeypatch):
-        # --seed N is the raw config line seed=N, which wins over the file's
-        got = {}
-        monkeypatch.setattr(cli, "run_command", lambda c, cfg, o: got.update(cfg))
-        cfg = write_config(tmp_path / "c.cfg", seed=1)
-        argv = ["toy-gaussian", "--config", cfg, "--out", str(tmp_path / "o")]
-        assert cli.main([*argv, "--seed", "9"]) == 0
-        assert got["seed"] == 9
-
-    def test_defaults_applied(self):
-        resolved = cli.resolve_config("score", {"checkpoint": "a", "features": "b"})
+    def test_defaults_applied(self, tiny_configs):
+        raw = {k: str(v) for k, v in tiny_configs["score"].items()}
+        resolved = cli.resolve_config("score", raw)
         assert resolved["out_height"] == 0
         assert resolved["out_width"] == 0
 
-    def test_train_defaults_come_from_train_config(self):
-        resolved = cli.resolve_config("train", {"features": "a", "labels": "b"})
+    def test_train_defaults_come_from_train_config(self, tiny_configs):
+        files = {k: str(tiny_configs["train"][k]) for k in ("features", "labels")}
+        resolved = cli.resolve_config("train", files)
         defaults = mdl.TrainConfig()
         keys = {
             "epochs", "learning_rate", "batch_size", "seed",
@@ -188,7 +183,7 @@ class TestConfigParsing:
             assert resolved[key] == getattr(defaults, key), key
             assert type(resolved[key]) is type(getattr(defaults, key)), key
         assert resolved["head"] == "evidential"
-        raw = {"features": "a", "labels": "b", "early_stopping": "yes"}
+        raw = {**files, "early_stopping": "yes"}
         overridden = cli.resolve_config("train", {**raw, "learning_rate": "1e-3"})
         assert overridden["early_stopping"] is True
         assert overridden["learning_rate"] == 1e-3
@@ -233,13 +228,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == want
         assert (tmp_path / "file").read_text() == "kept\n"
 
-    def test_missing_input_file_is_2(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.cfg", features="/no/such/file", labels="/no/such/file"
-        )
+    def test_missing_input_file_is_2(self, tmp_path, capsys, tiny_configs):
+        # every input path key, then a directory given as a path; the run
+        # and resolve_config alone reject it before any output is made
+        paths = [(command, key) for command, schema in cli.SCHEMAS.items()
+                 for key, (conv, _) in schema.items()
+                 if conv in (cli._parse_path, cli._parse_paths)]
+        assert len(paths) == 10
         out = tmp_path / "out"
-        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
-        assert not out.exists()
+        for command, key, bad in [*((c, k, tmp_path / "absent") for c, k in paths),
+                                  ("score", "features", tmp_path)]:
+            raw = {k: str(v) for k, v in {**tiny_configs[command], key: bad}.items()}
+            cfg = write_config(tmp_path / "c.cfg", **raw)
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+            want = f"config key {key!r}: no such file: {bad}"
+            assert capsys.readouterr().err == f"config error: {want}\n", (command, key)
+            assert not out.exists()
+            with pytest.raises(cli.ConfigError) as exc:
+                cli.resolve_config(command, raw)
+            assert str(exc.value) == want
 
     def test_data_error_is_3(self, tmp_path):
         # labels containing the value 2 are rejected before training
@@ -314,6 +321,38 @@ class TestExitCodes:
         write_tensor_file(scene, records)
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err == "numerical failure: overflow encountered in cast\n"
+
+    def test_run_command_raises_on_float_overflow(self, tmp_path):
+        # the float error mode is run_command's, not only the CLI's
+        config = small_config(tmp_path, "score")
+        records = read_tensor_file(config["features"])
+        records["features"][3, 1, 0] = 1e39
+        write_tensor_file(config["features"], records)
+        resolved = cli.resolve_config("score", {k: str(v) for k, v in config.items()})
+        with pytest.raises(FloatingPointError, match="overflow encountered in cast"):
+            cli.run_command("score", resolved, tmp_path / "o")
+
+    # arrays of 2**47 entries, 1 PiB and more: the first allocation fails at
+    # once, as it is beyond a 48-bit address space
+    @pytest.mark.parametrize(
+        "command,key", [("gen-synthetic", "height"), ("toy-gaussian", "n_per_class"),
+                        ("score", "out_height")]
+    )
+    def test_out_of_memory_is_3_with_one_line(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path / "c.cfg", **{**small_config(tmp_path, command),
+                                                   key: 2**47})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("data error: out of memory: Unable to allocate 1.00 PiB")
+
+    def test_out_of_memory_without_a_message_is_3(self, tmp_path, capsys, monkeypatch):
+        def handler(resolved, out_dir):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "gen-synthetic", handler)
+        assert cli.main(["gen-synthetic", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "data error: out of memory\n"
 
     @pytest.mark.parametrize(
         "edit",
@@ -479,15 +518,14 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_every_key_is_an_input_a_boolean_or_ruled(self):
+        unruled = (cli._parse_path, cli._parse_paths, cli._parse_bool)
         for command, schema in cli.SCHEMAS.items():
-            inputs = cli._COMMANDS[command][1]
             for key, (conv, _) in schema.items():
-                assert key in inputs or conv is cli._parse_bool or key in cli._RULES, (
-                    command, key
-                )
+                assert conv in unruled or key in cli._RULES, (command, key)
 
     def test_every_rule_has_a_bad_value(self):
-        # _check_values skips keys a config lacks, so a misspelt rule never fires
+        # resolve_config skips rules for keys a config lacks, so a misspelt
+        # rule never fires
         keys = {key for schema in cli.SCHEMAS.values() for key in schema}
         assert set(cli._RULES) <= keys
         tested = {case[1] for case in OUT_OF_RANGE}
@@ -516,19 +554,9 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert cli.main(["gen-synthetic", "--config", cfg, "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize(
-        "seed,rule", [("abc", "invalid literal"), ("-1", "must be in [0, ")]
-    )
-    def test_seed_flag_is_parsed_and_ruled_as_the_key(
-        self, tmp_path, capsys, seed, rule
-    ):
-        out = tmp_path / "o"
-        assert cli.main(["gen-synthetic", "--out", str(out), "--seed", seed]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: config key 'seed': {rule}")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["score", "eval", "extrapolate"])
+    # no command has a --seed flag: a seed is the config line seed=N, and only
+    # toy-gaussian, train and gen-synthetic have the key
+    @pytest.mark.parametrize("command", list(cli.SCHEMAS))
     def test_seedless_commands_reject_a_seed(
         self, tmp_path, capsys, tiny_configs, command
     ):
@@ -538,6 +566,8 @@ class TestExitCodes:
             cli.main([*argv, "--seed", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+        if "seed" in cli.SCHEMAS[command]:
+            return
         write_config(tmp_path / "c.cfg", **tiny_configs[command], seed=0)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -1089,15 +1119,14 @@ class TestExtrapolateCommand:
 
     def test_requires_some_checkpoint(self, tmp_path):
         scenes = gen_scenes(tmp_path, "scenes", n_scenes=1)
-        cfg = cli.resolve_config(
-            "extrapolate",
-            {
-                "train_features": str(scenes / "scene_000.ulre"),
-                "eval_features": str(scenes / "scene_000.ulre"),
-            },
-        )
         with pytest.raises(cli.ConfigError, match="checkpoint"):
-            cli.run_command("extrapolate", cfg, tmp_path / "x")
+            cli.resolve_config(
+                "extrapolate",
+                {
+                    "train_features": str(scenes / "scene_000.ulre"),
+                    "eval_features": str(scenes / "scene_000.ulre"),
+                },
+            )
 
 
 class TestToyGaussianCommand:
@@ -1154,19 +1183,6 @@ class TestManifest:
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         assert peak < 2 * 2**20
 
-    def test_seed_override_recorded(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.cfg", seed=5, n_scenes=1, height=8, width=8, dim=3,
-            n_classes=1, ood_min_size=3, ood_max_size=4,
-        )
-        out = tmp_path / "out"
-        assert (
-            cli.main(["gen-synthetic", "--config", cfg, "--out", str(out), "--seed", "77"])
-            == 0
-        )
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["seed"] == 77
-
 
 class _ReadKeys(dict):
     """A resolved config that records each key read from it."""
@@ -1188,6 +1204,6 @@ class _ReadKeys(dict):
 def test_every_command_reads_every_key_it_accepts(tmp_path, tiny_configs, command):
     raw = {k: str(v) for k, v in tiny_configs[command].items()}
     config = _ReadKeys(cli.resolve_config(command, raw))
-    handler, _ = cli._COMMANDS[command]
+    handler = cli._COMMANDS[command]
     handler(config, tmp_path)
     assert set(config) - config.read == set()

@@ -715,12 +715,13 @@ class TestPredictMap:
     def test_peak_memory_is_bounded(self, monkeypatch):
         # On each of two workers `forward` holds float32 768-row blocks of
         # every layer and a scratch block, 1.74 MiB per worker, besides the
-        # 1 MiB of logits, in which the head computes its output. In a
-        # process of its own the peak read 5.21 MiB (2.90 MiB with 256-row
-        # blocks, 4.06 with 512 and 6.37 with 1,024; near 400 MiB in one
-        # pass over all rows).
+        # 1 MiB of logits, in which the head computes its output. The peak
+        # reads 4.64 MiB alone and within the suite (near 400 MiB in one
+        # pass over all rows). A small 2-worker `forward` runs first, as the
+        # first one in a process imports the thread pool (5.21 MiB cold).
         monkeypatch.setattr(mdl, "_workers", lambda: 2)
         m = mdl.init_model([16, 256, 64, 2], seed=33)
+        mdl.forward(m, np.zeros((2000, 16)))
         fmap = np.random.default_rng(34).normal(size=(256, 256, 16))
         tracemalloc.start()
         try:

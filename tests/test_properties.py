@@ -211,16 +211,16 @@ EDGES = {
     "head": ["evidential", "sigmoid"],
     "hidden_dims": ["1", "4,0"],
     "grid_step": [4, 5],  # the grid [-6, 6]: two, one point in [-2, 2]
-    "dim": [1, 2],
+    "dim": [1, 2, 2**47],
     "n_classes": [1, 255, 256],
     "ood_index": [1, 2],  # cli._N_OOD_DIRECTIONS = 2
     "ood_max_size": [2, 3],  # ood_min_size = 3
     "scale_hi": [0.4, 0.5],  # scale_lo's default
-    **dict.fromkeys(
-        ["epochs", "batch_size", "patience", "hidden", "n_per_class", "n_scenes",
-         "height", "width", "ood_min_size"],
-        [1],
-    ),
+    **dict.fromkeys(["epochs", "batch_size", "patience", "n_scenes", "ood_min_size"], [1]),
+    # keys that each size one array: 2**47 entries fail at the first allocation
+    # (loop counts such as n_scenes would run for hours instead)
+    **dict.fromkeys(["hidden", "n_per_class", "height", "width"], [1, 2**47]),
+    **dict.fromkeys(["out_height", "out_width"], [2**47]),
 }
 PREFIX = {2: "config error: ", 3: "data error: ", 4: "numerical failure: "}
 
