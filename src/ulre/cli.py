@@ -468,6 +468,8 @@ def cmd_eval(resolved: dict, out_dir: Path) -> list[str]:
 def cmd_extrapolate(resolved: dict, out_dir: Path) -> list[str]:
     train_path, eval_path = resolved["train_features"], resolved["eval_features"]
     feats, ids = _feature_map(train_path, class_ids=None)
+    if ids.dtype != np.uint8:
+        raise DataError(f"{train_path}: 'class_ids' must be u8, got {ids.dtype}")
     if ids.shape != feats.shape[:2]:
         raise DataError(
             f"{train_path}: 'class_ids' shape {ids.shape} != 'features' "

@@ -115,9 +115,11 @@ HEADS = {"evidential": _EvidentialHead(), "sigmoid": _SigmoidHead()}
 @dataclass
 class Estimator:
     layer_dims: list[int]
-    weights: list[np.ndarray]  # (fan_in, fan_out) per layer
-    biases: list[np.ndarray]
+    params: np.ndarray  # float64, every weight then every bias, laid out by _views
     head: str = "evidential"
+
+    def __post_init__(self):
+        self.weights, self.biases = _views(self.params, self.layer_dims)
 
 
 @dataclass
@@ -159,13 +161,11 @@ def init_model(layer_dims, seed: int, head: str = "evidential") -> Estimator:
     dims = [int(d) for d in layer_dims]
     _check_architecture(dims, head)
     rng = Rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        w = rng.uniform_range(fan_in * fan_out, -bound, bound)
-        weights.append(w.reshape(fan_in, fan_out))
-        biases.append(np.zeros(fan_out))
-    return Estimator(dims, weights, biases, head=head)
+    model = Estimator(dims, np.zeros(_size(dims)), head=head)
+    for w in model.weights:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform_range(w.size, -bound, bound).reshape(w.shape)
+    return model
 
 
 def _leaky_grad(h: np.ndarray) -> np.ndarray:
@@ -266,8 +266,7 @@ def forward(model: Estimator, features) -> np.ndarray:
     workers = min(_workers(), n_blocks)
     ends = [i * n_blocks // workers for i in range(workers + 1)]
     runs = [bounds[a : b + 1] for a, b in zip(ends[:-1], ends[1:])]
-    weights = [w.astype(np.float32) for w in model.weights]
-    biases = [b.astype(np.float32) for b in model.biases]
+    weights, biases = _views(model.params.astype(np.float32), model.layer_dims)
     block = min(n, _BLOCK_ROWS)
     dims = model.layer_dims
     buffers = [
@@ -297,6 +296,11 @@ def forward(model: Estimator, features) -> np.ndarray:
         if pool is not None:
             pool.shutdown()
     return logits
+
+
+def _size(layer_dims: list[int]) -> int:
+    """The number of weights and biases of a network of `layer_dims`."""
+    return sum((a + 1) * b for a, b in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def _views(flat: np.ndarray, layer_dims: list[int]):
@@ -330,7 +334,7 @@ class _Step:
         self.model = model
         dims = model.layer_dims
         hidden = dims[1:-1]
-        self.grad = np.zeros(sum(p.size for p in model.weights + model.biases))
+        self.grad = np.zeros(model.params.size)
         self.params = np.empty(self.grad.size, dtype)
         self.weights, self.biases = _views(self.params, dims)
         rows = -(-rows // _FORWARD_ALIGN) * _FORWARD_ALIGN
@@ -343,8 +347,7 @@ class _Step:
 
     def __call__(self, xb, y_onehot, epoch: int):
         model = self.model
-        for view, p in zip(self.weights + self.biases, model.weights + model.biases):
-            view[...] = p
+        self.params[...] = model.params
         n = xb.shape[0]
         self.x[:n] = xb
         self.x[n:] = 0
@@ -410,7 +413,7 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
     Deterministic given cfg.seed: the validation split (when early stopping
     is enabled) and every epoch's shuffle come from one seeded stream. Early
     stopping restores the parameters of the best validation epoch. The model
-    returned is the one passed in, its parameters now views into one vector.
+    returned is the one passed in, its parameters updated in place.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -429,52 +432,42 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
 
     rng = Rng(cfg.seed)
     n = x.shape[0]
-    if cfg.early_stopping:
-        split = rng.permutation(n)
-        n_val = max(1, int(round(n * _VAL_FRACTION)))
-        val_idx, train_idx = split[:n_val], split[n_val:]
-        x_train, y_train = x[train_idx], y_onehot[train_idx]
-        x_val, y_val = x[val_idx], y_onehot[val_idx]
-    else:
-        n_val = 0
-        x_train, y_train = x, y_onehot
-    n_train = x_train.shape[0]
+    rows = rng.permutation(n) if cfg.early_stopping else np.arange(n)
+    n_val = max(1, int(round(n * _VAL_FRACTION))) if cfg.early_stopping else 0
+    val_idx, train_idx = rows[:n_val], rows[n_val:]
+    n_train = len(train_idx)
 
     report = TrainReport(n_train=n_train, n_val=n_val)
     step = _Step(model, cfg.batch_size, np.float32)
-    params = np.empty_like(step.grad)
-    weights, biases = _views(params, model.layer_dims)
-    for view, p in zip(weights + biases, model.weights + model.biases):
-        view[...] = p
-    model.weights, model.biases = weights, biases
-    opt = _Adam(params.size, cfg.learning_rate)
+    opt = _Adam(model.params.size, cfg.learning_rate)
     best_val = np.inf
     best_params = None
     since_best = 0
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n_train)
+        # rows of x, in this epoch's order: one gather per epoch, not per batch
+        order = train_idx[rng.permutation(n_train)]
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, _, _ = step(x_train[batch], y_train[batch], epoch)
+            loss, _, _ = step(x[batch], y_onehot[batch], epoch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, "
                     f"batch {start // cfg.batch_size} (loss={loss:.6g})"
                 )
-            opt.step(params, step.grad)
+            opt.step(model.params, step.grad)
             epoch_loss += loss * len(batch)
         report.train_loss.append(epoch_loss / n_train)
         report.lambdas.append(ev.lambda_schedule(epoch))
         report.epochs_run = epoch + 1
 
         if cfg.early_stopping:
-            val = _fit_loss(model, x_val, y_val)
+            val = _fit_loss(model, x[val_idx], y_onehot[val_idx])
             report.val_loss.append(val)
             if val < best_val:
                 best_val = val
-                best_params = params.copy()
+                best_params = model.params.copy()
                 report.best_epoch = epoch
                 since_best = 0
             else:
@@ -484,7 +477,7 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
                     break
 
     if best_params is not None:
-        params[...] = best_params
+        model.params[...] = best_params
     return model, report
 
 
@@ -553,20 +546,17 @@ def load_model(path) -> Estimator:
         _check_architecture(dims, head)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    weights, biases = [], []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        for key, shape, store in (
-            (f"w{i}", (fan_in, fan_out), weights),
-            (f"b{i}", (fan_out,), biases),
-        ):
+    model = Estimator(dims, np.empty(_size(dims)), head=head)
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        for key, view in ((f"w{i}", w), (f"b{i}", b)):
             if key not in records:
                 raise DataError(f"{path}: checkpoint is missing record {key!r}")
             arr = records[key]
-            if arr.shape != shape:
+            if arr.shape != view.shape:
                 raise DataError(
                     f"{path}: record {key!r} has shape {arr.shape}, "
-                    f"expected {shape}"
+                    f"expected {view.shape}"
                 )
             check_finite(path, key, arr)
-            store.append(np.asarray(arr, dtype=np.float64))
-    return Estimator(dims, weights, biases, head=head)
+            view[...] = arr
+    return model

@@ -229,19 +229,22 @@ class TestExitCodes:
         assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_missing_input_file_is_2(self, tmp_path, capsys, tiny_configs):
-        # every input path key, then a directory given as a path; the run
-        # and resolve_config alone reject it before any output is made
+        # every input path key, then a directory given as a path and a list
+        # of no paths; the run and resolve_config alone reject it before any
+        # output is made
         paths = [(command, key) for command, schema in cli.SCHEMAS.items()
                  for key, (conv, _) in schema.items()
                  if conv in (cli._parse_path, cli._parse_paths)]
         assert len(paths) == 10
         out = tmp_path / "out"
         for command, key, bad in [*((c, k, tmp_path / "absent") for c, k in paths),
-                                  ("score", "features", tmp_path)]:
+                                  ("score", "features", tmp_path),
+                                  ("train", "features", ",")]:
             raw = {k: str(v) for k, v in {**tiny_configs[command], key: bad}.items()}
             cfg = write_config(tmp_path / "c.cfg", **raw)
             assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-            want = f"config key {key!r}: no such file: {bad}"
+            reason = "empty path list" if bad == "," else f"no such file: {bad}"
+            want = f"config key {key!r}: {reason}"
             assert capsys.readouterr().err == f"config error: {want}\n", (command, key)
             assert not out.exists()
             with pytest.raises(cli.ConfigError) as exc:
@@ -618,32 +621,37 @@ class TestExitCodes:
              "feature depth 5 != {train}'s 4"),
             ("extrapolate", {"width": 3}, "model",
              "input width 3 != {eval}'s feature depth 4"),
-            ("extrapolate", {"train": np.ones((0, 4, 4)), "ids": np.zeros((0, 4))},
+            ("extrapolate",
+             {"train": np.ones((0, 4, 4)), "ids": np.zeros((0, 4), np.uint8)},
              "train", "'features' has no pixels"),
-            ("extrapolate", {"ids": np.zeros((4, 3))}, "train",
+            ("extrapolate", {"ids": np.zeros((4, 3), np.uint8)}, "train",
              "'class_ids' shape (4, 3) != 'features' (4, 4)"),
-            ("extrapolate", {"ids": np.tile([0, 0, 2, 2], (4, 1))}, "train",
+            ("extrapolate", {"ids": np.uint8(np.tile([0, 0, 2, 2], (4, 1)))}, "train",
              "class ids missing from 'class_ids': [1]"),
-            ("extrapolate", {"ids": np.tile([0, 0, 255, 255], (4, 1))}, "train",
-             f"class ids missing from 'class_ids': {list(range(1, 255))}"),
+            ("extrapolate", {"ids": np.uint8(np.tile([0, 0, 255, 255], (4, 1)))},
+             "train", f"class ids missing from 'class_ids': {list(range(1, 255))}"),
+            # class ids are u8, even when float ids hold integral values
+            ("extrapolate", {"ids": np.tile([0.0, 0.5, 1.0, 1.0], (4, 1))}, "train",
+             "'class_ids' must be u8, got float64"),
+            ("extrapolate", {"ids": np.tile([0.0, 0.0, 1.0, 1.0], (4, 1))}, "train",
+             "'class_ids' must be u8, got float64"),
             ("extrapolate", {"train": np.ones((4, 4, 4)) * [[0], [0], [1], [1]]},
              "train", "class_means: class 0 mean has zero norm"),
             ("extrapolate", {"eval": np.ones((4, 4, 4)) * [[[0]], [[1]], [[1]], [[1]]]},
              "eval", "extrapolation_analysis: zero feature vector"),
         ],
         ids=["score-depth", "eval-depth", "checkpoint-width", "no-train-pixels",
-             "class-ids-shape", "class-id-gap", "class-id-255", "zero-class-mean",
-             "zero-eval-row"],
+             "class-ids-shape", "class-id-gap", "class-id-255", "class-ids-float",
+             "class-ids-integral-float", "zero-class-mean", "zero-eval-row"],
     )
     def test_inputs_that_disagree_are_3_and_name_the_file(
         self, tmp_path, capsys, command, change, named, message
     ):
         paths = {name: tmp_path / f"{name}.ulre" for name in ("train", "eval", "model")}
-        ids = change.get("ids", np.tile([0, 0, 1, 1], (4, 1)))
+        ids = change.get("ids", np.uint8(np.tile([0, 0, 1, 1], (4, 1))))
         write_tensor_file(
             paths["train"],
-            {"features": change.get("train", np.ones((4, 4, 4))),
-             "class_ids": ids.astype(np.uint8)},
+            {"features": change.get("train", np.ones((4, 4, 4))), "class_ids": ids},
         )
         eval_features = change.get("eval", np.ones((4, 4, 4)))
         write_tensor_file(paths["eval"], {"features": eval_features})
@@ -661,6 +669,43 @@ class TestExitCodes:
         want = f"data error: {paths[named]}: {message.format(**paths)}\n"
         assert capsys.readouterr().err == want
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "depths,n_labels,message",
+        [((4, 4), 1, "train: features and labels lists differ in length"),
+         ((16, 8), 2, "{second}: feature dim 8 != 16")],
+        ids=["list-lengths", "feature-dims"],
+    )
+    def test_train_inputs_that_disagree_are_3(
+        self, tmp_path, capsys, depths, n_labels, message
+    ):
+        scenes = [tmp_path / f"scene{i}.ulre" for i in range(len(depths))]
+        for scene, depth in zip(scenes, depths):
+            write_tensor_file(scene, {"features": np.ones((4, 4, depth)),
+                                      "labels": np.zeros((4, 4), np.uint8)})
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            features=",".join(map(str, scenes)),
+            labels=",".join(map(str, scenes[:n_labels])),
+            batch_size=4,
+        )
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
+        want = f"data error: {message.format(second=scenes[1])}\n"
+        assert capsys.readouterr().err == want
+
+    def test_checkpoint_record_of_another_shape_is_3(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ulre"
+        mdl.save_model(ckpt, mdl.init_model([16, 8, 2], seed=0))
+        records = read_tensor_file(ckpt)
+        records["w0"] = np.ascontiguousarray(records["w0"].T)
+        write_tensor_file(ckpt, records)
+        feat = tmp_path / "f.ulre"
+        write_tensor_file(feat, {"features": np.ones((4, 4, 16))})
+        cfg = write_config(tmp_path / "c.cfg", checkpoint=str(ckpt), features=str(feat))
+        assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        want = f"{ckpt}: record 'w0' has shape (8, 16), expected (16, 8)"
+        assert capsys.readouterr().err == f"data error: {want}\n"
 
     def test_success_is_0(self, tmp_path):
         cfg = write_config(
@@ -824,11 +869,7 @@ class TestTrainScoreEval:
         assert read_tensor_file(out / "scores.ulre")["scores"].shape == (24, 18)
 
     def test_uniform_belief_model_scores_one(self, tmp_path, scenes):
-        model = mdl.Estimator(
-            [4, 8, 2],
-            [np.zeros((4, 8)), np.zeros((8, 2))],
-            [np.zeros(8), np.zeros(2)],
-        )
+        model = mdl.Estimator([4, 8, 2], np.zeros(4 * 8 + 8 * 2 + 8 + 2))
         ckpt = tmp_path / "zero.ulre"
         mdl.save_model(ckpt, model)
         cfg = cli.resolve_config(

@@ -111,11 +111,8 @@ class TestForward:
         np.testing.assert_allclose(mdl.forward(m, x), want)
 
     def test_leaky_relu_slope(self):
-        m = mdl.Estimator(
-            [1, 1, 2],
-            [np.array([[1.0]]), np.array([[1.0, 0.0]])],
-            [np.zeros(1), np.zeros(2)],
-        )
+        # w0 = [[1]], w1 = [[1, 0]], then the biases b0 = [0], b1 = [0, 0]
+        m = mdl.Estimator([1, 1, 2], np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
         out = mdl.forward(m, np.array([[-3.0]]))
         assert out[0, 0] == pytest.approx(-0.03)
 
@@ -581,16 +578,51 @@ class TestAdam:
 
 
 class TestTrain:
-    def test_parameters_become_views_of_one_vector(self):
+    def test_parameters_become_views_of_one_vector(self, tmp_path):
+        # from init_model and load_model on, every weight and bias is a view
+        # of the model's float64 `params`; train updates that vector in place
         x, y = make_blobs(n=100, seed=2)
         cfg = mdl.TrainConfig(epochs=1, batch_size=64)
-        m, _ = mdl.train(mdl.init_model([2, 5, 3, 2], 3), x, y, cfg)
-        params = m.weights + m.biases
-        flat = m.weights[0].base
-        assert all(p.base is flat for p in params)
-        # every weight in layer order, then every bias, each exactly once
-        assert flat.shape == (2 * 5 + 5 * 3 + 3 * 2 + 5 + 3 + 2,)
-        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), flat)
+        m = mdl.init_model([2, 5, 3, 2], 3)
+        mdl.save_model(tmp_path / "m.ulre", m)
+        back = mdl.load_model(tmp_path / "m.ulre")
+        assert back.params.tobytes() == m.params.tobytes()
+        params, before = m.params, m.params.copy()
+        trained, _ = mdl.train(m, x, y, cfg)
+        assert trained is m and m.params is params
+        assert not np.array_equal(params, before)
+        for model in (m, back):
+            parts = model.weights + model.biases
+            assert model.params.dtype == np.float64
+            assert all(p.base is model.params for p in parts)
+            # every weight in layer order, then every bias, each exactly once
+            size = 2 * 5 + 5 * 3 + 3 * 2 + 5 + 3 + 2
+            assert model.params.shape == (size,)
+            model.params[...] = np.arange(size)
+            flat = np.concatenate([p.ravel() for p in parts])
+            np.testing.assert_array_equal(flat, np.arange(size))
+
+    def test_early_stopping_holds_no_copy_of_its_rows(self, monkeypatch):
+        # the split is by index: the batches and the validation loss read
+        # the caller's rows. 81,920 x 16 rows (10 MiB): the peak of one
+        # 1-epoch 16-256-64-2 call on two workers read 20.9 MiB when the held-out and the
+        # training rows were copied, 10.6 MiB indexed. A smaller call runs
+        # first, so that first-call imports fall outside the traced region.
+        monkeypatch.setattr(mdl, "_workers", lambda: 2)
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(81_920, 16))
+        y = rng.integers(0, 2, len(x))
+        cfg = mdl.TrainConfig(epochs=1, batch_size=1024, seed=42, early_stopping=True)
+        dims = [16, 256, 64, 2]
+        mdl.train(mdl.init_model(dims, 43), x[:10_240], y[:10_240], cfg)
+        m = mdl.init_model(dims, 43)
+        tracemalloc.start()
+        try:
+            mdl.train(m, x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
 
     def test_separable_blobs_high_accuracy(self):
         x, y = make_blobs()
