@@ -6,12 +6,21 @@ mean-feature computation.
 
 from __future__ import annotations
 
+import copy
 import os
 import struct
 
 import numpy as np
 
-from .numkernel import CHUNK, Rng, resize_nearest, upsample_bilinear
+from .numkernel import (
+    CHUNK,
+    Rng,
+    _in_threads,
+    _shares,
+    cores,
+    resize_nearest,
+    upsample_bilinear,
+)
 
 __all__ = [
     "DataError",
@@ -347,7 +356,10 @@ def gen_synthetic_scene(
     Pixels are partitioned into contiguous regions (nearest of one random
     anchor per class) and each pixel's feature is its class's unit direction
     (a row of `directions`, shared across scenes) plus isotropic Gaussian
-    noise of standard deviation _SCENE_NOISE. Deterministic per seed.
+    noise of standard deviation _SCENE_NOISE. Deterministic per seed. The
+    noise is drawn on every core (`cores`), in near-equal runs of
+    consecutive chunks, one run per thread; its bits do not depend on the
+    thread count.
     """
     if d < 2:
         raise ValueError("gen_synthetic_scene: d must be >= 2")
@@ -371,15 +383,27 @@ def gen_synthetic_scene(
         class_ids = _nearest_anchor(h, w, anchor_y, anchor_x)
 
     features = directions[class_ids]
-    # the noise is drawn CHUNK values at a time, never at full size;
-    # even chunks consume the stream exactly as one whole draw would
+    # The noise is drawn CHUNK values at a time, never at full size. Every
+    # chunk but the last is even, so chunk j starts at noise draw j * CHUNK:
+    # each run of chunks draws from its own copy of the stream, moved there.
     flat = features.reshape(-1)
-    for start in range(0, flat.size, CHUNK):
-        part = flat[start : start + CHUNK]
-        noise = rng.standard_normal(part.size)
-        noise *= _SCENE_NOISE
-        part += noise
+    ends = [j * CHUNK for j in _shares(-(-flat.size // CHUNK), cores())]
+    calls = []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        stream = copy.copy(rng)
+        stream.skip(lo)
+        calls.append((stream, flat[lo:hi]))
+    _in_threads(_add_noise, calls)
     return features, class_ids
+
+
+def _add_noise(rng: Rng, part: np.ndarray) -> None:
+    """Add _SCENE_NOISE times the next normals of `rng` to `part` in place,
+    CHUNK values at a time. One chunk's normals are dropped before the next
+    chunk's are drawn."""
+    for start in range(0, part.size, CHUNK):
+        chunk = part[start : start + CHUNK]
+        chunk += _SCENE_NOISE * rng.standard_normal(chunk.size)
 
 
 def ellipse_mask(h: int, w: int) -> np.ndarray:

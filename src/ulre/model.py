@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import os
-from contextvars import copy_context
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import evidential as ev
-from .numkernel import Rng
+from .numkernel import Rng, _in_threads, _shares, cores
 
 __all__ = [
     "HEADS",
@@ -119,6 +118,13 @@ class Estimator:
     head: str = "evidential"
 
     def __post_init__(self):
+        size, p = _size(self.layer_dims), self.params
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (size,)):
+            got = f"{p.dtype} {p.shape}" if isinstance(p, np.ndarray) else type(p).__name__
+            raise ValueError(
+                f"Estimator: params must be a 1-D float64 vector of {size} values "
+                f"for layers {self.layer_dims}, got {got}"
+            )
         self.weights, self.biases = _views(self.params, self.layer_dims)
 
 
@@ -193,11 +199,7 @@ def _workers() -> int:
     every core when none is set. Threads of both kinds on the same cores
     only slow each other down.
     """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    blas = cores
+    blas = available = cores()
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(os.environ.get(var, ""))
@@ -206,7 +208,7 @@ def _workers() -> int:
         if threads > 0:
             blas = threads
             break
-    return max(1, cores // blas)
+    return max(1, available // blas)
 
 
 def _logit_rows(weights, biases, x, hidden, scratch, out) -> None:
@@ -262,9 +264,7 @@ def forward(model: Estimator, features) -> np.ndarray:
         )
     n = x.shape[0]
     bounds = _cuts(n, _BLOCK_ROWS)
-    n_blocks = len(bounds) - 1
-    workers = min(_workers(), n_blocks)
-    ends = [i * n_blocks // workers for i in range(workers + 1)]
+    ends = _shares(len(bounds) - 1, _workers())
     runs = [bounds[a : b + 1] for a, b in zip(ends[:-1], ends[1:])]
     weights, biases = _views(model.params.astype(np.float32), model.layer_dims)
     block = min(n, _BLOCK_ROWS)
@@ -277,24 +277,8 @@ def forward(model: Estimator, features) -> np.ndarray:
         for _ in runs
     ]
     logits = np.empty((n, dims[-1]))
-    pool = None
-    if workers > 1:  # imported here: it adds some 10 ms to importing ulre
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers - 1)
-    try:  # each worker runs in a copy of this context, so np.errstate holds there
-        futures = [
-            pool.submit(
-                copy_context().run, _logit_blocks, weights, biases, x, run, *bufs, logits
-            )
-            for run, bufs in zip(runs[1:], buffers[1:])
-        ]
-        _logit_blocks(weights, biases, x, runs[0], *buffers[0], logits)
-        for future in futures:
-            future.result()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    calls = [(weights, biases, x, run, *bufs, logits) for run, bufs in zip(runs, buffers)]
+    _in_threads(_logit_blocks, calls)
     return logits
 
 

@@ -1,5 +1,6 @@
 """Deterministic numeric foundation: separable Gaussian blur,
-bilinear/nearest resampling, and a seeded counter-based random stream.
+bilinear/nearest resampling, a seeded counter-based random stream, and
+the threads that share a call's pieces of work.
 
 All arithmetic here is 64-bit; only the network's layers run in float32,
 in `ulre.model.forward` and in the training step. The random generator
@@ -10,6 +11,8 @@ streams on every platform, independent of the numpy version in use.
 from __future__ import annotations
 
 import math
+import os
+from contextvars import copy_context
 
 import numpy as np
 
@@ -18,6 +21,7 @@ __all__ = [
     "upsample_bilinear",
     "resize_nearest",
     "Rng",
+    "cores",
 ]
 
 
@@ -131,8 +135,10 @@ class Rng:
 
     Draw k of a stream seeded with s is mix64(s + k * GAMMA) where mix64 is
     the SplitMix64 finalizer, so arbitrary batches can be produced by pure
-    counter arithmetic. Single-owner mutable stream: do not share across
-    threads; use distinct seeds for independent streams.
+    counter arithmetic. A stream is mutable and has one owner. To draw part
+    of it on another thread, give that thread a copy (`copy.copy`) moved to
+    the part's first draw with `skip`: the copy draws the bits the stream
+    would draw there. Use distinct seeds for independent streams.
     """
 
     def __init__(self, seed: int):
@@ -141,6 +147,12 @@ class Rng:
             raise ValueError("Rng: seed must be a 64-bit unsigned integer")
         self._seed = np.uint64(seed)
         self._counter = 0
+
+    def skip(self, n: int) -> None:
+        """Move past the next n draws without making them."""
+        if n < 0:
+            raise ValueError("Rng.skip: n must be >= 0")
+        self._counter += n
 
     def next_u64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit draws, mixed in place with one scratch array."""
@@ -202,3 +214,44 @@ class Rng:
         if high < 1:
             raise ValueError("Rng.integers: high must be >= 1")
         return np.minimum((self.uniform(n) * high).astype(np.int64), high - 1)
+
+
+def cores() -> int:
+    """The cores this process may run on: those of its affinity mask, or
+    every CPU where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The two helpers below are underscored: perfbench's tracer wraps public
+# names only, and a numkernel span around `forward`'s work would count it
+# as numkernel time.
+def _shares(n: int, workers: int) -> list[int]:
+    """Bounds of near-equal runs of consecutive pieces of range(n), one run
+    per worker and at most one per piece."""
+    runs = min(workers, n)
+    return [i * n // runs for i in range(runs + 1)]
+
+
+def _in_threads(work, calls) -> None:
+    """Call work(*args) for each args of `calls`: the first on the calling
+    thread, the others on a thread pool made for this call, each in a copy
+    of the caller's context, so np.errstate holds there. Returns once every
+    call has ended and the pool's threads are gone, raising the calling
+    thread's exception or else the first of the pool's, in call order.
+    """
+    pool = None
+    if len(calls) > 1:  # imported here: it adds some 10 ms to importing ulre
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(len(calls) - 1)
+    try:
+        futures = [pool.submit(copy_context().run, work, *args) for args in calls[1:]]
+        work(*calls[0])
+        for future in futures:
+            future.result()
+    finally:
+        if pool is not None:
+            pool.shutdown()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ulre import cli
+from ulre import cli, data
 from ulre import model as mdl
 from ulre.data import DataError, read_tensor_file, write_tensor_file
 
@@ -757,8 +757,10 @@ class TestGenSynthetic:
             tracemalloc.stop()
         assert peak < 50 * 2**20
 
-    def test_scene_is_built_without_the_last_one(self, tmp_path):
-        # each scene is pasted into in place and dropped once written
+    def test_scene_is_built_without_the_last_one(self, tmp_path, monkeypatch):
+        # each scene is pasted into in place and dropped once written; its
+        # noise is drawn on two threads, each with its own chunk in flight
+        monkeypatch.setattr(data, "cores", lambda: 2)
         tracemalloc.start()
         try:
             gen_scenes(tmp_path, "mid", n_scenes=3, height=128, width=128, dim=16,

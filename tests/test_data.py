@@ -2,6 +2,7 @@
 
 import io
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -466,8 +467,10 @@ class TestSyntheticScene:
         with pytest.raises(ValueError, match="h and w"):
             gen_synthetic_scene(0, 4, 4, 2, 23, np.zeros((2, 4)))
 
-    def test_peak_memory(self):
-        # the noise is drawn in chunks, never beside the features at full size
+    def test_peak_memory(self, monkeypatch):
+        # the noise is drawn in chunks, never beside the features at full
+        # size, one chunk's temporaries at a time on each of two workers
+        monkeypatch.setattr(data, "cores", lambda: 2)
         dirs = sample_unit_directions(16, 4, Rng(1))
         tracemalloc.start()
         try:
@@ -476,6 +479,44 @@ class TestSyntheticScene:
         finally:
             tracemalloc.stop()
         assert peak < 2 * feats.nbytes
+
+    def test_workers_keep_the_callers_float_error_state(self, monkeypatch):
+        # 0 / 0 on the pool's threads only, in a scene of two chunks
+        caller = threading.get_ident()
+        add_noise = data._add_noise
+
+        def invalid_off_the_caller(rng, part):
+            add_noise(rng, part)
+            if threading.get_ident() != caller:
+                part *= 0.0
+                part /= part
+
+        monkeypatch.setattr(data, "_add_noise", invalid_off_the_caller)
+        monkeypatch.setattr(data, "cores", lambda: 2)
+        dirs = sample_unit_directions(16, 2, Rng(2))
+        with np.errstate(invalid="ignore"):
+            feats, _ = gen_synthetic_scene(64, 64, 16, 2, 3, dirs)
+        assert np.isnan(feats).any()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            gen_synthetic_scene(64, 64, 16, 2, 3, dirs)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_exception_propagates_and_threads_end(self, monkeypatch, failing):
+        caller = threading.get_ident()
+        add_noise = data._add_noise
+
+        def fail_on_one_thread(rng, part):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} failed")
+            add_noise(rng, part)
+
+        monkeypatch.setattr(data, "_add_noise", fail_on_one_thread)
+        monkeypatch.setattr(data, "cores", lambda: 3)
+        dirs = sample_unit_directions(16, 2, Rng(4))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            gen_synthetic_scene(64, 96, 16, 2, 5, dirs)  # three chunks
+        assert threading.active_count() == before
 
 
 class TestObjectHelpers:

@@ -602,6 +602,18 @@ class TestTrain:
             flat = np.concatenate([p.ravel() for p in parts])
             np.testing.assert_array_equal(flat, np.arange(size))
 
+    @pytest.mark.parametrize(
+        "params",
+        [np.zeros(10), np.zeros(5), np.zeros(6, np.float32), np.zeros((2, 3)), [0.0] * 6],
+        ids=["too-long", "too-short", "float32", "2-d", "list"],
+    )
+    def test_parameter_vector_must_fit_the_layers(self, params):
+        # a [2, 2] net has 4 weights and 2 biases; a longer vector gave one
+        # bias of 6 entries, and a float32 one float32 master parameters
+        with pytest.raises(ValueError, match=r"1-D float64 vector of 6 values"):
+            mdl.Estimator([2, 2], params)
+        assert mdl.Estimator([2, 2], np.zeros(6)).biases[0].shape == (2,)
+
     def test_early_stopping_holds_no_copy_of_its_rows(self, monkeypatch):
         # the split is by index: the batches and the validation loss read
         # the caller's rows. 81,920 x 16 rows (10 MiB): the peak of one

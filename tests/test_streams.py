@@ -3,10 +3,13 @@ whole-array reference copies: the same draws and the same arithmetic,
 done in the same order, give the same bits."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from ulre import data
 from ulre.data import (
     _SCENE_NOISE,
     _nearest_anchor,
@@ -120,6 +123,56 @@ def test_scene_matches_whole_array_reference(shape):
     got_f, got_ids = gen_synthetic_scene(*shape, 101, dirs)
     np.testing.assert_array_equal(got_ids, want_ids)
     np.testing.assert_array_equal(got_f, want_f)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("method", ["next_u64", "uniform", "standard_normal"])
+def test_skip_lands_on_the_draws_of_one_whole_stream(method, seed):
+    # Box-Muller pairs draws (2i, 2i+1), so normals line up at even skips
+    skips = [0, 2, C, 2 * C + 6] + ([1, C + 1] if method != "standard_normal" else [])
+    for k in skips:
+        for n in (1, 5, C, 2 * C + 3):
+            rng = Rng(seed)
+            rng.skip(k)
+            whole = getattr(RefRng(seed), method)(k + n)
+            np.testing.assert_array_equal(getattr(rng, method)(n), whole[k:])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (5, 7, 3, 2),  # fewer values than one chunk
+        (64, 32, 16, 3),  # exactly one chunk
+        (97, 175, 8, 4),  # a ragged last chunk
+        (64, 70, 8, 1),  # one class: no anchors drawn
+        (384, 384, 16, 4),
+    ],
+)
+def test_scene_bits_do_not_depend_on_the_worker_count(monkeypatch, shape):
+    runs = []  # the thread of each run of chunks in one scene
+    add_noise = data._add_noise
+
+    def recorded(rng, part):
+        runs.append(threading.get_ident())
+        add_noise(rng, part)
+
+    monkeypatch.setattr(data, "_add_noise", recorded)
+    h, w, d, k = shape
+    dirs = sample_unit_directions(d, k, Rng(100))
+    if k == 1:
+        want_f = ref_object(h, w, dirs[0], RefRng(101), _SCENE_NOISE)
+        want_ids = np.zeros((h, w), np.uint8)
+    else:
+        want_f, want_ids = ref_scene(*shape, 101, dirs)
+    chunks = -(-want_f.size // C)
+    for workers in (1, 2, (os.cpu_count() or 1) + 2):
+        monkeypatch.setattr(data, "cores", lambda: workers)
+        runs.clear()
+        got_f, got_ids = gen_synthetic_scene(*shape, 101, dirs)
+        assert_same_bits(got_f, want_f)
+        np.testing.assert_array_equal(got_ids, want_ids)
+        assert len(runs) == min(workers, chunks)
+        assert threading.get_ident() in runs  # the caller runs one itself
 
 
 def test_single_class_scene_matches_reference():
