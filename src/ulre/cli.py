@@ -295,12 +295,15 @@ def _records(path, records=None, **ranks) -> list[np.ndarray]:
     return found
 
 
-def _feature_map(path, **ranks) -> list[np.ndarray]:
+def _feature_map(path, records=None, **ranks) -> list[np.ndarray]:
     """The 'features' record of a file, an H x W x D map of at least one
-    pixel, then the records named in `ranks`, as `_records` reads them."""
-    fmap, *rest = _records(path, features=3, **ranks)
+    pixel and a depth of at least 1, then the records named in `ranks`, as
+    `_records` reads them."""
+    fmap, *rest = _records(path, records, features=3, **ranks)
     if fmap.shape[0] * fmap.shape[1] == 0:
         raise DataError(f"{path}: 'features' has no pixels")
+    if fmap.shape[2] == 0:
+        raise DataError(f"{path}: 'features' has depth 0")
     return [fmap, *rest]
 
 
@@ -385,7 +388,7 @@ def _load_pixel_rows(feature_paths, label_paths):
         # a scene file named as both features and labels is read once
         names = ("features", "labels") if lpath == fpath else ("features",)
         records = read_tensor_file(fpath, names)
-        [fm] = _records(fpath, records, features=3)
+        [fm] = _feature_map(fpath, records)
         positive = _positives(lpath, fm.shape[:2], records if lpath == fpath else None)
         if dim is None:
             dim = fm.shape[2]

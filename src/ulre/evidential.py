@@ -1,10 +1,10 @@
 """Dirichlet evidence arithmetic for the binary in/out-of-distribution task:
-belief parameters, uncertainty, likelihood-ratio scores, training losses and
-their analytic gradients, plus the sigmoid/cross-entropy baseline.
+belief parameters, uncertainty, likelihood-ratio scores, the training loss and
+its analytic gradient, plus the sigmoid/cross-entropy baseline.
 
 Class index 0 is in-distribution, index 1 is out-of-distribution, everywhere
-in this package. All functions are vectorized over leading axes; the class
-axis is last and always has length 2.
+in this package; a row's label is its class index. All functions are
+vectorized over leading axes; the class axis is last and always has length 2.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ __all__ = [
     "expected_prob",
     "lr_score",
     "lr_from_sigmoid",
-    "one_hot",
     "lambda_schedule",
-    "edl_log_loss",
-    "edl_kl_reg",
     "edl_loss_and_grad",
     "sigmoid",
     "bce_loss_from_logit",
@@ -79,16 +76,6 @@ def lr_from_sigmoid(p1) -> np.ndarray:
     return p / (1.0 - p)
 
 
-def one_hot(labels) -> np.ndarray:
-    """Integer labels {0,1} -> one-hot rows (..., 2)."""
-    y = np.asarray(labels)
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("one_hot: labels must be 0 or 1")
-    out = np.zeros(y.shape + (2,), dtype=np.float64)
-    np.put_along_axis(out, y[..., None].astype(np.intp), 1.0, axis=-1)
-    return out
-
-
 def lambda_schedule(epoch: int) -> float:
     """Annealing coefficient min(1, t/10), 0-based epoch counter."""
     if epoch < 0:
@@ -96,56 +83,43 @@ def lambda_schedule(epoch: int) -> float:
     return min(1.0, epoch / 10.0)
 
 
-def edl_log_loss(alpha, y) -> np.ndarray:
-    """Marginal-likelihood log loss: sum_k y_k (log S - log alpha_k)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    s = alpha.sum(axis=-1, keepdims=True)
-    return (y * (np.log(s) - np.log(alpha))).sum(axis=-1)
-
-
-def edl_kl_reg(alpha, y) -> np.ndarray:
-    """Evidence regularizer: KL to uniform after removing correct evidence.
-
-    alpha_tilde = y + (1 - y) * alpha, i.e. the correct-class entry is
-    forced to 1 and the incorrect-class entry b keeps its concentration.
-    For one-hot y, KL(Beta(1, b) || U) = ln b - 1 + 1/b (Sensoy et al.,
-    2018); other labels raise ValueError. Nonnegative; zero exactly when
-    alpha_tilde = (1, 1).
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[-1:] != (2,) or not (
-        ((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=-1) == 1.0).all()
-    ):
-        raise ValueError("edl_kl_reg: labels must be one-hot rows of length 2")
-    b = ((1.0 - y) * alpha).sum(axis=-1)
-    if not (np.isfinite(b) & (b > 0.0)).all():
-        raise ValueError("edl_kl_reg: concentrations must be finite and positive")
-    return np.maximum(np.log(b) - 1.0 + 1.0 / b, 0.0)
-
-
 def edl_loss_and_grad(o, y, epoch: int):
-    """Annealed total loss log_loss + min(1, epoch/10) * kl_reg per row, and
-    its gradient d(total)/d(logits), from one pass over (..., 2) logit rows.
+    """Annealed total loss per row and its gradient d(total)/d(logits), from
+    one pass over (..., 2) logit rows and their labels y: one 0 or 1 per row,
+    of shape o.shape[:-1].
 
-    Chain rule through e = exp(clamp(o)) and alpha = e + 1; the gradient is
-    zero outside the clamp range. For one-hot y the KL term's derivative is
-    dKL/db = (b - 1)/b^2 on the incorrect class b and 0 on the correct one;
-    `edl_kl_reg` rejects other labels with ValueError.
+    With a the correct class's concentration, b the other's and S = a + b,
+    the total is the log loss ln S - ln a plus min(1, epoch/10) times the
+    KL regulariser KL(Beta(1, b) || U) = ln b - 1 + 1/b (Sensoy et al.,
+    2018), which is zero exactly when b = 1. Through e = exp(clamp(o)) and
+    alpha = e + 1, the gradient is e (1/S - 1/a) on the correct class and
+    e (1/S + lam (b - 1)/b^2) on the other, and zero outside the clamp
+    range. Labels of another shape or value raise ValueError.
     """
     o = np.asarray(o, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y)
+    ood = y == 1
+    if y.shape != o.shape[:-1] or not (ood | (y == 0)).all():
+        raise ValueError(
+            f"edl_loss_and_grad: labels must be 0 or 1, one per row of the "
+            f"{o.shape} logits, got {y.dtype} {y.shape}"
+        )
     lam = lambda_schedule(epoch)
     e = evidence_from_logits(o)
     alpha = e + 1.0
-    total = edl_log_loss(alpha, y) + lam * edl_kl_reg(alpha, y)
-    s = alpha.sum(axis=-1, keepdims=True)
-    dlog = 1.0 / s - y / alpha
-    b = ((1.0 - y) * alpha).sum(axis=-1, keepdims=True)
-    dkl = (1.0 - y) * ((b - 1.0) / (b * b))
-    passthrough = (np.abs(o) <= LOGIT_CLAMP).astype(np.float64)
-    return total, e * (dlog + lam * dkl) * passthrough
+    s = alpha[..., 0] + alpha[..., 1]
+    a = np.where(ood, alpha[..., 1], alpha[..., 0])
+    b = np.where(ood, alpha[..., 0], alpha[..., 1])
+    total = (np.log(s) - np.log(a)) + lam * np.maximum(np.log(b) - 1.0 + 1.0 / b, 0.0)
+    inv_s = 1.0 / s
+    right = inv_s - 1.0 / a
+    wrong = inv_s + lam * ((b - 1.0) / (b * b))
+    grad = np.empty_like(alpha)
+    grad[..., 0] = np.where(ood, wrong, right)
+    grad[..., 1] = np.where(ood, right, wrong)
+    grad *= e
+    grad *= np.abs(o) <= LOGIT_CLAMP
+    return total, grad
 
 
 def sigmoid(z) -> np.ndarray:

@@ -73,10 +73,10 @@ class _EvidentialHead:
     def prob(self, logits):
         return ev.expected_prob(self.output(logits))[:, 1]
 
-    def loss_and_grad(self, logits, y_onehot, epoch: int):
+    def loss_and_grad(self, logits, y, epoch: int):
         if np.isnan(logits).any():  # evidence_from_logits rejects NaN as bad data
             raise TrainingDivergedError(f"NaN logits at epoch {epoch}")
-        total, grad = ev.edl_loss_and_grad(logits, y_onehot, epoch)
+        total, grad = ev.edl_loss_and_grad(logits, y, epoch)
         return float(np.mean(total)), grad
 
 
@@ -94,17 +94,17 @@ class _SigmoidHead:
 
     prob = output  # P(OOD) per row is this head's output
 
-    def loss_and_grad(self, logits, y_onehot, epoch: int):
+    def loss_and_grad(self, logits, y, epoch: int):
         z1 = logits[:, 0]
-        y1 = y_onehot[:, 1]
-        loss = float(np.mean(ev.bce_loss_from_logit(z1, y1)))
-        return loss, ev.bce_grad_from_logit(z1, y1)[:, None]
+        loss = float(np.mean(ev.bce_loss_from_logit(z1, y)))
+        return loss, ev.bce_grad_from_logit(z1, y)[:, None]
 
 
 # All that depends on the head kind, keyed by an Estimator's `head`. `tag`
 # names the kind in extrapolate's config keys and file names; `output` is
 # predict_map's per-row result, `score` its likelihood ratio, `prob` P(OOD)
-# per row; `loss_and_grad` gives the mean loss and the logit gradient.
+# per row; `loss_and_grad` gives the mean loss and the logit gradient of
+# logit rows and their 0/1 labels.
 # `output` and `prob` may overwrite the logits they are given.
 # Heads look `ev` functions up when they run, so that a tracer which replaces
 # them sees every call.
@@ -297,8 +297,9 @@ def _views(flat: np.ndarray, layer_dims: list[int]):
 
 
 class _Step:
-    """Mean loss and parameter gradients of one mini-batch of up to `rows`
-    rows, with the layers and the backward pass run in `dtype`.
+    """Mean loss and parameter gradients of one mini-batch xb of up to
+    `rows` rows and its 0/1 labels yb, with the layers and the backward
+    pass run in `dtype`.
 
     `train` gives float32 against float64 master parameters, the scheme of
     Micikevicius et al., "Mixed Precision Training" (ICLR 2018): each call
@@ -329,7 +330,7 @@ class _Step:
         self.g = self.grad.astype(dtype, copy=False)  # `grad` itself in float64
         self.grads_w, self.grads_b = _views(self.g, dims)
 
-    def __call__(self, xb, y_onehot, epoch: int):
+    def __call__(self, xb, yb, epoch: int):
         model = self.model
         self.params[...] = model.params
         n = xb.shape[0]
@@ -338,7 +339,7 @@ class _Step:
         _logit_rows(self.weights, self.biases, self.x, self.h, self.scratch, self.logits)
         z = self.logits[:n]
         z64 = z.astype(np.float64, copy=False)  # z itself in float64
-        loss, delta = HEADS[model.head].loss_and_grad(z64, y_onehot, epoch)
+        loss, delta = HEADS[model.head].loss_and_grad(z64, yb, epoch)
         np.divide(delta, n, out=z)
         self.logits[n:] = 0
         delta = self.logits
@@ -355,10 +356,10 @@ class _Step:
         return loss, self.grads_w, self.grads_b
 
 
-def _fit_loss(model: Estimator, x, y_onehot) -> float:
+def _fit_loss(model: Estimator, x, y) -> float:
     """The head's mean loss at epoch 0, the validation metric: the annealed
     KL weight is 0 there, so the losses of different epochs compare."""
-    return HEADS[model.head].loss_and_grad(forward(model, x), y_onehot, 0)[0]
+    return HEADS[model.head].loss_and_grad(forward(model, x), y, 0)[0]
 
 
 class _Adam:
@@ -412,7 +413,8 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
         )
     if cfg.epochs < 1:
         raise ValueError("train: epochs must be >= 1")
-    y_onehot = ev.one_hot(y)
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("train: labels must be 0 or 1")
 
     rng = Rng(cfg.seed)
     n = x.shape[0]
@@ -434,7 +436,7 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, _, _ = step(x[batch], y_onehot[batch], epoch)
+            loss, _, _ = step(x[batch], y[batch], epoch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, "
@@ -447,7 +449,7 @@ def train(model: Estimator, features, labels, cfg: TrainConfig):
         report.epochs_run = epoch + 1
 
         if cfg.early_stopping:
-            val = _fit_loss(model, x[val_idx], y_onehot[val_idx])
+            val = _fit_loss(model, x[val_idx], y[val_idx])
             report.val_loss.append(val)
             if val < best_val:
                 best_val = val

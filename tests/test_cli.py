@@ -671,18 +671,20 @@ class TestExitCodes:
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
-        "depths,n_labels,message",
-        [((4, 4), 1, "train: features and labels lists differ in length"),
-         ((16, 8), 2, "{second}: feature dim 8 != 16")],
-        ids=["list-lengths", "feature-dims"],
+        "shapes,n_labels,message",
+        [(((4, 4, 4), (4, 4, 4)), 1, "train: features and labels lists differ in length"),
+         (((4, 4, 16), (4, 4, 8)), 2, "{second}: feature dim 8 != 16"),
+         (((4, 4, 0), (4, 4, 0)), 2, "{first}: 'features' has depth 0"),
+         (((4, 4, 4), (0, 4, 4)), 2, "{second}: 'features' has no pixels")],
+        ids=["list-lengths", "feature-dims", "depth-0", "no-pixels"],
     )
     def test_train_inputs_that_disagree_are_3(
-        self, tmp_path, capsys, depths, n_labels, message
+        self, tmp_path, capsys, shapes, n_labels, message
     ):
-        scenes = [tmp_path / f"scene{i}.ulre" for i in range(len(depths))]
-        for scene, depth in zip(scenes, depths):
-            write_tensor_file(scene, {"features": np.ones((4, 4, depth)),
-                                      "labels": np.zeros((4, 4), np.uint8)})
+        scenes = [tmp_path / f"scene{i}.ulre" for i in range(len(shapes))]
+        for scene, shape in zip(scenes, shapes):
+            write_tensor_file(scene, {"features": np.ones(shape),
+                                      "labels": np.zeros(shape[:2], np.uint8)})
         cfg = write_config(
             tmp_path / "c.cfg",
             features=",".join(map(str, scenes)),
@@ -691,7 +693,7 @@ class TestExitCodes:
         )
         out = tmp_path / "o"
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
-        want = f"data error: {message.format(second=scenes[1])}\n"
+        want = f"data error: {message.format(first=scenes[0], second=scenes[1])}\n"
         assert capsys.readouterr().err == want
 
     def test_checkpoint_record_of_another_shape_is_3(self, tmp_path, capsys):

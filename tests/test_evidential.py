@@ -8,8 +8,31 @@ from scipy import integrate, special
 
 from ulre import evidential as ev
 
-Y0 = np.array([1.0, 0.0])  # in-distribution label
-Y1 = np.array([0.0, 1.0])  # out-of-distribution label
+Y0 = 0  # in-distribution label
+Y1 = 1  # out-of-distribution label
+
+
+def logits_of(alpha):
+    """Logit rows of concentrations alpha: alpha = 1 maps to -inf, which the
+    clamp takes to 1 + exp(-30)."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(alpha, dtype=np.float64) - 1.0)
+
+
+def log_loss(alpha, y):
+    """The log loss at concentrations alpha: the total at epoch 0."""
+    return ev.edl_loss_and_grad(logits_of(alpha), y, 0)[0]
+
+
+def kl_term(o, y):
+    """The KL regulariser at logits o: the total at full weight (epoch 10)
+    less the total at epoch 0."""
+    return ev.edl_loss_and_grad(o, y, 10)[0] - ev.edl_loss_and_grad(o, y, 0)[0]
+
+
+def kl_reg(alpha, y):
+    """The KL regulariser at concentrations alpha."""
+    return kl_term(logits_of(alpha), y)
 
 
 def dirichlet_kl_quad(a0: float, a1: float) -> float:
@@ -133,9 +156,7 @@ class TestBeliefSummaries:
 class TestLogLoss:
     def test_uniform(self):
         for y in (Y0, Y1):
-            assert ev.edl_log_loss(np.array([1.0, 1.0]), y) == pytest.approx(
-                math.log(2.0)
-            )
+            assert log_loss(np.array([1.0, 1.0]), y) == pytest.approx(math.log(2.0))
 
     def test_against_marginal_likelihood_quadrature(self):
         # oracle: -log integral p_c Dir(p | alpha) dp
@@ -153,59 +174,53 @@ class TestLogLoss:
             val, _ = integrate.quad(f, 0.0, 1.0)
             return val
 
-        assert ev.edl_log_loss(alpha, Y0) == pytest.approx(
-            -math.log(marginal(0)), abs=1e-9
-        )
-        assert ev.edl_log_loss(alpha, Y1) == pytest.approx(
-            -math.log(marginal(1)), abs=1e-9
-        )
+        assert log_loss(alpha, Y0) == pytest.approx(-math.log(marginal(0)), abs=1e-9)
+        assert log_loss(alpha, Y1) == pytest.approx(-math.log(marginal(1)), abs=1e-9)
         # frozen values from the oracle
-        assert ev.edl_log_loss(alpha, Y0) == pytest.approx(0.2876821, abs=1e-7)
-        assert ev.edl_log_loss(alpha, Y1) == pytest.approx(1.3862944, abs=1e-7)
+        assert log_loss(alpha, Y0) == pytest.approx(0.2876821, abs=1e-7)
+        assert log_loss(alpha, Y1) == pytest.approx(1.3862944, abs=1e-7)
 
     def test_equals_neg_log_expected_prob(self):
         rng = np.random.default_rng(3)
-        alpha = 1.0 + rng.uniform(0, 20, size=(200, 2))
+        o = np.log(rng.uniform(0, 20, size=(200, 2)))
+        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(o))
         labels = rng.integers(0, 2, 200)
-        y = ev.one_hot(labels)
         want = -np.log(ev.expected_prob(alpha)[np.arange(200), labels])
-        np.testing.assert_allclose(ev.edl_log_loss(alpha, y), want, rtol=1e-12)
+        total = ev.edl_loss_and_grad(o, labels, 0)[0]
+        np.testing.assert_allclose(total, want, rtol=1e-12)
 
     def test_strictly_positive(self):
         rng = np.random.default_rng(4)
         alpha = 1.0 + rng.uniform(0, 100, size=(500, 2))
-        y = ev.one_hot(rng.integers(0, 2, 500))
-        assert np.all(ev.edl_log_loss(alpha, y) > 0.0)
+        assert np.all(log_loss(alpha, rng.integers(0, 2, 500)) > 0.0)
 
 
 class TestKlRegularizer:
     def test_zero_when_only_correct_evidence(self):
-        assert ev.edl_kl_reg(np.array([5.0, 1.0]), Y0) == pytest.approx(0.0, abs=1e-12)
-        assert ev.edl_kl_reg(np.array([1.0, 5.0]), Y1) == pytest.approx(0.0, abs=1e-12)
+        assert kl_reg(np.array([5.0, 1.0]), Y0) == pytest.approx(0.0, abs=1e-12)
+        assert kl_reg(np.array([1.0, 5.0]), Y1) == pytest.approx(0.0, abs=1e-12)
 
     def test_analytic_hand_case(self):
         # KL(Dir(1,2) || Dir(1,1)) = integral 2p ln(2p) dp = ln 2 - 1/2
         want = math.log(2.0) - 0.5
-        assert ev.edl_kl_reg(np.array([1.0, 2.0]), Y0) == pytest.approx(
-            want, abs=1e-9
-        )
+        assert kl_reg(np.array([1.0, 2.0]), Y0) == pytest.approx(want, abs=1e-9)
 
     def test_against_quadrature(self):
-        assert ev.edl_kl_reg(np.array([1.0, 5.0]), Y0) == pytest.approx(
+        assert kl_reg(np.array([1.0, 5.0]), Y0) == pytest.approx(
             dirichlet_kl_quad(1.0, 5.0), abs=1e-6
         )
         rng = np.random.default_rng(5)
         for _ in range(20):
             a = 1.0 + rng.uniform(0, 9, 2)
-            got = ev.edl_kl_reg(a, Y0)  # alpha_tilde = (1, a1)
+            got = kl_reg(a, Y0)  # alpha_tilde = (1, a1)
             assert got == pytest.approx(dirichlet_kl_quad(1.0, a[1]), abs=1e-6)
 
     def test_nonnegative_and_zero_only_without_incorrect_evidence(self):
         rng = np.random.default_rng(6)
-        alpha = 1.0 + rng.uniform(0, 50, size=(500, 2))
+        o = np.log(rng.uniform(0, 50, size=(500, 2)))
+        alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(o))
         labels = rng.integers(0, 2, 500)
-        y = ev.one_hot(labels)
-        kl = ev.edl_kl_reg(alpha, y)
+        kl = kl_term(o, labels)
         assert np.all(kl >= 0.0)
         # strictly positive whenever the incorrect class kept real evidence
         incorrect = alpha[np.arange(500), 1 - labels]
@@ -225,18 +240,19 @@ class TestTotalLoss:
         rng = np.random.default_rng(7)
         o = np.log(rng.uniform(0, 10, size=(50, 2)))
         alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(o))
-        y = ev.one_hot(rng.integers(0, 2, 50))
+        labels = rng.integers(0, 2, 50)
+        y = np.eye(2)[labels]
+        nll = -np.log(ev.expected_prob(alpha)[np.arange(50), labels])
+        kl = general_kl_to_uniform(y + (1.0 - y) * alpha)
         for epoch in (0, 3, 7, 15):
-            total, _ = ev.edl_loss_and_grad(o, y, epoch)
+            total, _ = ev.edl_loss_and_grad(o, labels, epoch)
             lam = ev.lambda_schedule(epoch)
-            np.testing.assert_allclose(
-                total, ev.edl_log_loss(alpha, y) + lam * ev.edl_kl_reg(alpha, y)
-            )
+            np.testing.assert_allclose(total, nll + lam * kl)
 
     def test_epoch_zero_is_pure_log_loss(self):
         o = np.log([3.0, 1.0])  # alpha = (4, 2)
         total, _ = ev.edl_loss_and_grad(o, Y0, 0)
-        assert total == pytest.approx(ev.edl_log_loss(np.array([4.0, 2.0]), Y0))
+        assert total == pytest.approx(math.log(6.0 / 4.0))
 
 
 class TestBce:
@@ -288,7 +304,7 @@ class TestLossGradient:
     def test_epoch_linearity_in_lambda(self):
         rng = np.random.default_rng(9)
         o = rng.uniform(-4, 4, size=(30, 2))
-        y = ev.one_hot(rng.integers(0, 2, 30))
+        y = rng.integers(0, 2, 30)
         g0 = ev.edl_loss_and_grad(o, y, 0)[1]
         g20 = ev.edl_loss_and_grad(o, y, 20)[1]
         g5 = ev.edl_loss_and_grad(o, y, 5)[1]
@@ -300,7 +316,7 @@ class TestLossGradient:
         worst = 0.0
         for _ in range(100):
             o = rng.uniform(-5, 5, 2)
-            y = ev.one_hot(int(rng.integers(0, 2)))
+            y = int(rng.integers(0, 2))
             epoch = int(rng.integers(0, 21))
             grad = ev.edl_loss_and_grad(o, y, epoch)[1]
             for k in range(2):
@@ -318,12 +334,14 @@ class TestLossGradient:
         assert g[0] == 0.0
 
 
-# The annealed loss and its gradient as two passes, as they were before
-# `edl_loss_and_grad` fused them: the loss from alpha (the KL regulariser in
-# its one-hot closed form), the gradient rebuilt from the logits.
+# The annealed loss and its gradient as two passes over one-hot label rows
+# y, as they were before `edl_loss_and_grad` fused them and took one label
+# per row: the loss from alpha (the KL regulariser in its one-hot closed
+# form), the gradient rebuilt from the logits.
 def reference_total_loss(alpha, y, epoch):
     lam = ev.lambda_schedule(epoch)
-    log_loss = ev.edl_log_loss(alpha, y)
+    s = alpha.sum(axis=-1, keepdims=True)
+    log_loss = (y * (np.log(s) - np.log(alpha))).sum(axis=-1)
     b = ((1.0 - y) * alpha).sum(axis=-1, keepdims=True)[..., 0]
     kl = np.maximum(np.log(b) - 1.0 + 1.0 / b, 0.0)
     return log_loss + lam * kl
@@ -346,14 +364,14 @@ class TestFusedLossAndGrad:
         rng = np.random.default_rng(41)
         labels = rng.integers(0, 2, 600)
         assert 0 < labels.sum() < len(labels)  # both label classes
-        y = ev.one_hot(labels)
+        y = np.eye(2)[labels]  # the references' one-hot rows
         # inside and past the clamp, and on its edges
         o = rng.uniform(-40.0, 40.0, size=(600, 2))
         o[:8] = [[30.0, -30.0], [-30.0, 30.0], [40.0, -40.0], [-40.0, 40.0]] * 2
         assert (np.abs(o) > ev.LOGIT_CLAMP).any() and (np.abs(o) < ev.LOGIT_CLAMP).any()
         alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(o))
         for epoch in (0, 5, 10, 20):
-            total, grad = ev.edl_loss_and_grad(o, y, epoch)
+            total, grad = ev.edl_loss_and_grad(o, labels, epoch)
             assert np.array_equal(total, reference_total_loss(alpha, y, epoch))
             assert np.array_equal(grad, reference_loss_grad(o, y, epoch))
 
@@ -384,15 +402,14 @@ def general_kl_to_uniform(alpha_tilde):
 
 
 def logit_rows(wrong_hi, n=400, seed=40):
-    """One-hot rows and logit rows: the correct-class logit anywhere in
+    """Logit rows and their labels: the correct-class logit anywhere in
     [-30, 30], the incorrect-class logit on a grid of [-30, wrong_hi]."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, n)
-    y = ev.one_hot(labels)
     o = np.empty((n, 2))
     o[np.arange(n), labels] = rng.uniform(-30.0, 30.0, n)
     o[np.arange(n), 1 - labels] = np.linspace(-30.0, wrong_hi, n)
-    return o, y
+    return o, labels
 
 
 class TestOneHotClosedForms:
@@ -401,17 +418,18 @@ class TestOneHotClosedForms:
     # differences in the gradient), so they are compared below 12 here and
     # over the whole range in 50-digit arithmetic below.
     def test_kl_matches_general_form(self):
-        o, y = logit_rows(12.0)
+        o, labels = logit_rows(12.0)
         alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(o))
+        y = np.eye(2)[labels]
         general = general_kl_to_uniform(y + (1.0 - y) * alpha)
-        np.testing.assert_allclose(ev.edl_kl_reg(alpha, y), general, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(kl_term(o, labels), general, rtol=0, atol=1e-9)
 
     def test_grad_matches_trigamma_form(self):
-        o, y = logit_rows(12.0)
+        o, labels = logit_rows(12.0)
         for epoch in (0, 5, 20):
             np.testing.assert_allclose(
-                ev.edl_loss_and_grad(o, y, epoch)[1],
-                old_edl_loss_grad(o, y, epoch),
+                ev.edl_loss_and_grad(o, labels, epoch)[1],
+                old_edl_loss_grad(o, np.eye(2)[labels], epoch),
                 rtol=0,
                 atol=1e-9,
             )
@@ -419,11 +437,12 @@ class TestOneHotClosedForms:
     def test_match_general_forms_in_high_precision(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
-        o, y = logit_rows(30.0, n=200)
+        o, labels = logit_rows(30.0, n=200)
         # the clamp edges and beyond, for both classes
         edges = np.array([[30.0, -30.0], [-30.0, 30.0], [40.0, -40.0], [-40.0, 40.0]])
         o = np.concatenate([o, edges, edges])
-        y = np.concatenate([y, np.tile(Y0, (4, 1)), np.tile(Y1, (4, 1))])
+        labels = np.concatenate([labels, [Y0] * 4, [Y1] * 4])
+        y = np.eye(2)[labels]
         e = ev.evidence_from_logits(o)
         alpha = e + 1.0
         b = ((1.0 - y) * alpha).sum(axis=-1)
@@ -437,50 +456,35 @@ class TestOneHotClosedForms:
             dkl_db.append((bk - 1) * (mp.psi(1, bk) - mp.psi(1, bk + 1)))
         kl = np.array(kl, dtype=np.float64)
         dkl = (1.0 - y) * np.array(dkl_db, dtype=np.float64)[:, None]
-        np.testing.assert_allclose(ev.edl_kl_reg(alpha, y), kl, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(kl_term(o, labels), kl, rtol=0, atol=1e-9)
         dlog = 1.0 / alpha.sum(axis=-1, keepdims=True) - y / alpha
         passthrough = np.abs(o) <= ev.LOGIT_CLAMP
         for epoch in (0, 5, 20):
             want = e * (dlog + ev.lambda_schedule(epoch) * dkl) * passthrough
             np.testing.assert_allclose(
-                ev.edl_loss_and_grad(o, y, epoch)[1], want, rtol=0, atol=1e-9
+                ev.edl_loss_and_grad(o, labels, epoch)[1], want, rtol=0, atol=1e-9
             )
 
+    # a label is the class index of a one-hot row: one 0 or 1 per logit row.
+    # Rejected: 0.5, 2, -1, NaN, one label too many, and one-hot rows.
     @pytest.mark.parametrize(
         "y",
         [
-            [0.5, 0.5],
-            [1.0, 1.0],
-            [0.0, 0.0],
-            [2.0, -1.0],
+            [0.0, 0.5],
+            [2, 1],
+            [1, -1],
             [np.nan, 1.0],
-            [1.0, 0.0, 0.0],
+            [1, 0, 0],
+            [[1.0, 0.0], [0.0, 1.0]],
         ],
     )
     def test_reject_labels_that_are_not_one_hot(self, y):
-        y = np.array([Y0, y]) if len(y) == 2 else np.array(y)
-        o = np.zeros(y.shape)
-        with pytest.raises(ValueError, match="one-hot"):
-            ev.edl_kl_reg(ev.dirichlet_from_evidence(ev.evidence_from_logits(o)), y)
-        with pytest.raises(ValueError, match="one-hot"):
-            ev.edl_loss_and_grad(o, y, 5)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            ev.edl_loss_and_grad(np.zeros((2, 2)), np.array(y), 5)
 
     def test_nan_logits_still_rejected(self):
         with pytest.raises(ValueError):
             ev.edl_loss_and_grad(np.array([np.nan, 0.0]), Y0, 5)
-        with pytest.raises(ValueError):
-            ev.edl_kl_reg(np.array([1.0, np.nan]), Y0)
-
-
-class TestOneHot:
-    def test_encoding(self):
-        np.testing.assert_array_equal(
-            ev.one_hot(np.array([0, 1, 1])), [[1, 0], [0, 1], [0, 1]]
-        )
-
-    def test_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            ev.one_hot(np.array([0, 2]))
 
 
 class TestEntropy:

@@ -13,6 +13,8 @@ from ulre import model as mdl
 from ulre.data import sample_unit_directions
 from ulre.numkernel import Rng
 
+from test_evidential import reference_total_loss
+
 
 def make_blobs(n=600, separation=10.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -337,7 +339,7 @@ class TestBackprop:
         m = mdl.init_model(dims, seed=9, head=head)
         rng = np.random.default_rng(10)
         x = rng.normal(size=(16, 4))
-        y = ev.one_hot(rng.integers(0, 2, 16))
+        y = rng.integers(0, 2, 16)
         step = 1e-3
         for epoch in (0, 20):
             _, gw, gb = mdl._Step(m, len(x), np.float64)(x, y, epoch)
@@ -371,7 +373,7 @@ class TestBackprop:
                 m = mdl.init_model([*dims, kind.width], 101, head)
                 rng = np.random.default_rng(202)
                 x = rng.normal(size=(rows, dims[0]))
-                y = ev.one_hot(rng.integers(0, 2, rows))
+                y = rng.integers(0, 2, rows)
                 for epoch in (0, 20):
                     want, got = (
                         mdl._Step(m, rows, dtype) for dtype in (np.float64, np.float32)
@@ -387,7 +389,8 @@ class TestBackprop:
 # the activation kernels in their np.where forms. The network and its
 # backward pass run in `dtype`, the head in float64, over the batch and its
 # logit gradient zero-padded to the step's row count. The buffered step must
-# reproduce it bit for bit.
+# reproduce it bit for bit. Its evidential loss is the two-pass form over
+# one-hot label rows.
 def _reference_forward_cached(weights, biases, x):
     acts = [x]
     pres = []
@@ -415,7 +418,7 @@ def _reference_backward(weights, acts, pres, dlogits):
     return grads_w, grads_b
 
 
-def _reference_batch(model, xb, y_onehot, epoch, dtype, rows):
+def _reference_batch(model, xb, yb, epoch, dtype, rows):
     weights = [w.astype(dtype) for w in model.weights]
     biases = [b.astype(dtype) for b in model.biases]
     n = xb.shape[0]
@@ -425,12 +428,10 @@ def _reference_batch(model, xb, y_onehot, epoch, dtype, rows):
     logits = acts[-1][:n].astype(np.float64)
     if model.head == "evidential":
         alpha = ev.dirichlet_from_evidence(ev.evidence_from_logits(logits))
-        lam = ev.lambda_schedule(epoch)
-        kl = ev.edl_kl_reg(alpha, y_onehot)
-        loss = float(np.mean(ev.edl_log_loss(alpha, y_onehot) + lam * kl))
-        dlogits = ev.edl_loss_and_grad(logits, y_onehot, epoch)[1] / n
+        loss = float(np.mean(reference_total_loss(alpha, np.eye(2)[yb], epoch)))
+        dlogits = ev.edl_loss_and_grad(logits, yb, epoch)[1] / n
     else:
-        z, y1 = logits[:, 0], y_onehot[:, 1]
+        z, y1 = logits[:, 0], yb
         loss = float(np.mean(ev.bce_loss_from_logit(z, y1)))
         dlogits = (ev.bce_grad_from_logit(z, y1) / n)[:, None]
     padded = np.zeros((rows, dlogits.shape[1]), dtype)
@@ -439,9 +440,8 @@ def _reference_batch(model, xb, y_onehot, epoch, dtype, rows):
     return (loss, *([g.astype(np.float64) for g in gs] for gs in grads))
 
 
-def _reference_train(model, x, labels, cfg):
+def _reference_train(model, x, y, cfg):
     """Returns (weights, biases, train losses, val losses)."""
-    y = ev.one_hot(labels)
     rng = Rng(cfg.seed)
     n = x.shape[0]
     if cfg.early_stopping:
@@ -541,7 +541,7 @@ class TestBufferedStep:
         rng = np.random.default_rng(39)
         for rows in (1, 50):
             x = rng.normal(size=(rows, 3))
-            y = ev.one_hot(rng.integers(0, 2, rows))
+            y = rng.integers(0, 2, rows)
             for epoch in (0, 4, 12):
                 loss, gw, gb = step(x, y, epoch)
                 want_loss, want_w, want_b = _reference_batch(
@@ -694,7 +694,7 @@ class TestTrain:
         split = Rng(cfg.seed).permutation(len(x))
         n_val = max(1, int(round(len(x) * mdl._VAL_FRACTION)))
         val_idx = split[:n_val]
-        val = mdl._fit_loss(m, x[val_idx], ev.one_hot(y[val_idx]))
+        val = mdl._fit_loss(m, x[val_idx], y[val_idx])
         assert val == pytest.approx(best, rel=1e-12)
         if report.stopped_epoch is not None:
             assert report.epochs_run < cfg.epochs
@@ -729,6 +729,17 @@ class TestTrain:
         cfg = mdl.TrainConfig(batch_size=1024)
         with pytest.raises(ValueError):
             mdl.train(mdl.init_model([2, 4, 2], 24), x, y, cfg)
+
+    @pytest.mark.parametrize("bad", [2, 0.5])
+    @pytest.mark.parametrize("head,dims", [("evidential", [2, 4, 2]), ("sigmoid", [2, 4, 1])])
+    def test_rejects_labels_other_than_0_or_1(self, head, dims, bad):
+        # the sigmoid head's loss would take 0.5 as a soft label
+        x, y = make_blobs(n=64)
+        y = y.astype(np.float64)
+        y[7] = bad
+        cfg = mdl.TrainConfig(epochs=1, batch_size=32)
+        with pytest.raises(ValueError, match="train: labels must be 0 or 1"):
+            mdl.train(mdl.init_model(dims, 24, head), x, y, cfg)
 
 
 class TestPredictMap:

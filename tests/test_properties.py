@@ -201,6 +201,110 @@ def test_eval_exits_0_or_with_one_error_line(tmp_path, fault, data):
         assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
+# one fault per example, in one of the files, except "lengths"
+TRAIN_FAULTS = {
+    "none": 0,
+    "missing record": 3,
+    "rank": 3,
+    "non-finite": 3,
+    "label shape": 3,
+    "non-binary": 3,
+    "depth 0": 3,
+    "no pixels": 3,
+    "depths differ": 3,
+    "lengths": 3,
+    "no file": 2,
+}
+
+
+@pytest.mark.parametrize("fault", list(TRAIN_FAULTS))
+@settings(PROPERTY, max_examples=8)
+@given(data=st.data())
+def test_train_exits_0_or_with_one_error_line_naming_the_file(tmp_path, fault, data):
+    n_files = data.draw(st.integers(2 if fault == "depths differ" else 1, 3))
+    # a map of another depth than the first map's is the one named
+    bad = data.draw(st.integers(int(fault == "depths differ"), n_files - 1))
+    one_file = data.draw(st.booleans())  # a scene's features and labels together
+    depth = data.draw(st.integers(1, 3))
+    fpaths, lpaths = [], []
+    named = None  # the file that holds the fault
+    for i in range(n_files):
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2)))
+        feats = data.draw(
+            arrays(np.float64, (*shape, depth), elements=st.floats(-1e3, 1e3))
+        )
+        labels = data.draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
+        faulty = "labels"  # the record the fault is in
+        if i == bad and fault == "missing record":
+            faulty = data.draw(st.sampled_from(["features", "labels"]))
+        elif i == bad and fault == "rank":
+            faulty = "features"
+            feats = data.draw(st.sampled_from([feats[..., 0], feats[None]]))
+        elif i == bad and fault == "non-finite":
+            faulty = data.draw(st.sampled_from(["features", "labels"]))
+            value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            if faulty == "features":
+                feats.flat[-1] = value
+            else:
+                labels = labels.astype(np.float64)
+                labels.flat[0] = value
+        elif i == bad and fault == "label shape":
+            labels = data.draw(st.sampled_from([
+                np.resize(labels, (shape[0] + 1, shape[1])),
+                np.resize(labels, (shape[0], shape[1] + 1)),
+                labels[0],
+            ]))
+        elif i == bad and fault == "non-binary":
+            labels = labels.astype(np.float64)
+            labels.flat[-1] = data.draw(st.sampled_from([2.0, 0.5, -1.0]))
+        elif i == bad and fault == "depth 0":
+            faulty, feats = "features", feats[..., :0]
+        elif i == bad and fault == "no pixels":
+            faulty = "features"
+            feats, labels = data.draw(st.sampled_from([
+                (feats[:0], labels[:0]), (feats[:, :0], labels[:, :0])
+            ]))
+        elif i == bad and fault == "depths differ":
+            faulty, feats = "features", np.concatenate([feats, feats[..., :1]], axis=2)
+        records = {"features": feats, "labels": labels}
+        if i == bad and fault == "missing record":
+            del records[faulty]
+        fpath, lpath = tmp_path / f"f{i}.ulre", tmp_path / f"l{i}.ulre"
+        if one_file:
+            write_tensor_file(fpath, records)
+            lpath = fpath
+        else:
+            write_tensor_file(fpath, {k: v for k, v in records.items() if k == "features"})
+            write_tensor_file(lpath, {k: v for k, v in records.items() if k == "labels"})
+        if i == bad:
+            named = fpath if faulty == "features" else lpath
+        fpaths.append(str(fpath))
+        lpaths.append(str(lpath))
+    if fault == "lengths":
+        named = None
+        lpaths = lpaths[:-1] if n_files > 1 else lpaths * 2
+    elif fault == "no file":
+        named = tmp_path / "absent.ulre"
+        data.draw(st.sampled_from([fpaths, lpaths]))[bad] = str(named)
+    config = tmp_path / "train.cfg"
+    config.write_text(
+        f"features={','.join(fpaths)}\nlabels={','.join(lpaths)}\n"
+        "epochs=1\nbatch_size=1\nhidden_dims=2\n"
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+    lines = err.getvalue().splitlines()
+    assert code == TRAIN_FAULTS[fault], lines
+    if code == 0:
+        assert lines == [] and (tmp_path / "o" / "model.ulre").is_file()
+    else:
+        prefix = {2: "config error: ", 3: "data error: "}[code]
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+        if named is not None:
+            assert str(named) in lines[0], lines
+
+
 # Every config key takes these values, and those near its rule's edges below.
 # Left out, as it passes its rule but asks for a slow run: grid_step at its
 # edge (10**6 grid points).
