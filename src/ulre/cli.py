@@ -296,10 +296,12 @@ def _records(path, records=None, **ranks) -> list[np.ndarray]:
 
 
 def _feature_map(path, records=None, **ranks) -> list[np.ndarray]:
-    """The 'features' record of a file, an H x W x D map of at least one
-    pixel and a depth of at least 1, then the records named in `ranks`, as
-    `_records` reads them."""
+    """The 'features' record of a file, an f64 H x W x D map of at least
+    one pixel and a depth of at least 1, then the records named in `ranks`,
+    as `_records` reads them."""
     fmap, *rest = _records(path, records, features=3, **ranks)
+    if fmap.dtype != np.float64:
+        raise DataError(f"{path}: 'features' must be f64, got {fmap.dtype}")
     if fmap.shape[0] * fmap.shape[1] == 0:
         raise DataError(f"{path}: 'features' has no pixels")
     if fmap.shape[2] == 0:

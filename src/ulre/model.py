@@ -33,7 +33,7 @@ __all__ = [
     "load_model",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 # The most rows in one block of `forward`, and the row multiple of every
 # inner block bound and of the training step's row count. A matmul's bits
 # can depend on its row count (1 row goes through gemv; one column runs the
@@ -118,6 +118,7 @@ class Estimator:
     head: str = "evidential"
 
     def __post_init__(self):
+        _check_architecture(self.layer_dims, self.head)
         size, p = _size(self.layer_dims), self.params
         if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (size,)):
             got = f"{p.dtype} {p.shape}" if isinstance(p, np.ndarray) else type(p).__name__
@@ -165,9 +166,9 @@ def _check_architecture(dims: list[int], head: str) -> None:
 def init_model(layer_dims, seed: int, head: str = "evidential") -> Estimator:
     """Seeded fan-in-scaled uniform init: W ~ U(-sqrt(6/fan_in), +...), b = 0."""
     dims = [int(d) for d in layer_dims]
-    _check_architecture(dims, head)
+    # a width below 1 can make the size negative: Estimator names the error
+    model = Estimator(dims, np.zeros(max(_size(dims), 0)), head=head)
     rng = Rng(seed)
-    model = Estimator(dims, np.zeros(_size(dims)), head=head)
     for w in model.weights:
         bound = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform_range(w.size, -bound, bound).reshape(w.shape)
@@ -484,7 +485,8 @@ def predict_map(model: Estimator, fmap):
 
 
 def save_model(path, model: Estimator) -> None:
-    """Checkpoint: one tensor record per parameter plus a JSON header record."""
+    """Checkpoint: a JSON header record, then the parameter vector as the
+    record `params`."""
     from .data import write_tensor_file
 
     header = {
@@ -493,34 +495,26 @@ def save_model(path, model: Estimator) -> None:
         "slope": _SLOPE,
         "head": model.head,
     }
-    records: dict[str, np.ndarray] = {
-        "header": np.frombuffer(
-            json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        )
-    }
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        records[f"w{i}"] = w
-        records[f"b{i}"] = b
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    records = {"header": np.frombuffer(text, dtype=np.uint8), "params": model.params}
     write_tensor_file(path, records)
 
 
 def load_model(path) -> Estimator:
     from .data import DataError, check_finite, read_tensor_file
 
-    records = read_tensor_file(path)
+    records = read_tensor_file(path, ("header", "params"))
     if "header" not in records:
-        raise DataError(f"{path}: checkpoint is missing its header record")
+        raise DataError(f"{path}: checkpoint is missing its 'header' record")
     try:
         header = json.loads(bytes(records["header"]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: checkpoint header must be a JSON object")
-    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(
-            f"{path}: unsupported checkpoint format version "
-            f"{header.get('format_version')!r}"
-        )
+    version = header.get("format_version")
+    if not (type(version) is int and version == CHECKPOINT_FORMAT_VERSION):
+        raise DataError(f"{path}: unsupported checkpoint format version {version!r}")
     dims, head = header.get("layer_dims"), header.get("head")
     if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise DataError(f"{path}: checkpoint 'layer_dims' must be a list of integers")
@@ -528,21 +522,10 @@ def load_model(path) -> Estimator:
         raise DataError(f"{path}: checkpoint 'head' must be a string")
     if header.get("slope") != _SLOPE:
         raise DataError(f"{path}: checkpoint 'slope' must be {_SLOPE}")
+    if "params" not in records:
+        raise DataError(f"{path}: checkpoint is missing its 'params' record")
+    check_finite(path, "params", records["params"])
     try:
-        _check_architecture(dims, head)
-    except ValueError as exc:
+        return Estimator(dims, records["params"], head)
+    except ValueError as exc:  # the architecture, or a vector that does not fit it
         raise DataError(f"{path}: {exc}") from exc
-    model = Estimator(dims, np.empty(_size(dims)), head=head)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        for key, view in ((f"w{i}", w), (f"b{i}", b)):
-            if key not in records:
-                raise DataError(f"{path}: checkpoint is missing record {key!r}")
-            arr = records[key]
-            if arr.shape != view.shape:
-                raise DataError(
-                    f"{path}: record {key!r} has shape {arr.shape}, "
-                    f"expected {view.shape}"
-                )
-            check_finite(path, key, arr)
-            view[...] = arr
-    return model

@@ -370,11 +370,16 @@ class TestExitCodes:
             lambda h: {**h, "slope": "0.01"},
             lambda h: {**h, "slope": 2.0},
             lambda h: {**h, "slope": 0.5},
+            lambda h: {**h, "format_version": 1},
+            # True == 1 and 2.0 == 2 in Python: the version must be the int
+            lambda h: {**h, "format_version": True},
+            lambda h: {**h, "format_version": 2.0},
+            lambda h: {k: v for k, v in h.items() if k != "format_version"},
         ],
         ids=[
             "no_layer_dims", "no_head", "no_slope", "list_header", "layer_dims_int",
             "layer_dims_str_entry", "head_list", "slope_str", "slope_range",
-            "slope_other",
+            "slope_other", "version_1", "version_true", "version_float", "no_version",
         ],
     )
     def test_malformed_checkpoint_header_is_3(self, tmp_path, capsys, edit):
@@ -388,7 +393,8 @@ class TestExitCodes:
         write_tensor_file(feat, {"features": np.zeros((4, 4, 4))})
         cfg = write_config(tmp_path / "c.cfg", checkpoint=str(ckpt), features=str(feat))
         assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-        assert "data error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("fault", ["missing", "rank", "nonfinite"])
     @pytest.mark.parametrize("command", ["train", "score", "eval", "extrapolate"])
@@ -445,13 +451,15 @@ class TestExitCodes:
         ckpt = tmp_path / "model.ulre"
         mdl.save_model(ckpt, mdl.init_model([4, 8, 2], seed=0))
         records = read_tensor_file(ckpt)
-        records[key].flat[3] = value
+        weights, biases = mdl._views(np.arange(58), [4, 8, 2])  # indices of `params`
+        layer = {"w0": weights[0], "b0": biases[0], "w1": weights[1]}[key]
+        records["params"][layer.flat[3]] = value
         write_tensor_file(ckpt, records)
         feat = tmp_path / "f.ulre"
         write_tensor_file(feat, {"features": np.ones((4, 4, 4))})
         cfg = write_config(tmp_path / "c.cfg", checkpoint=str(ckpt), features=str(feat))
         assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-        message = f"{ckpt}: {key!r} holds NaN or infinite values"
+        message = f"{ckpt}: 'params' holds NaN or infinite values"
         assert capsys.readouterr().err == f"data error: {message}\n"
 
     @pytest.mark.parametrize("fault", ["shape", "values"])
@@ -697,16 +705,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == want
 
     def test_checkpoint_record_of_another_shape_is_3(self, tmp_path, capsys):
+        # the parameters of a 16-8-2 net under a header that says 8-16-2
         ckpt = tmp_path / "model.ulre"
         mdl.save_model(ckpt, mdl.init_model([16, 8, 2], seed=0))
         records = read_tensor_file(ckpt)
-        records["w0"] = np.ascontiguousarray(records["w0"].T)
+        header = {**json.loads(bytes(records["header"])), "layer_dims": [8, 16, 2]}
+        records["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         write_tensor_file(ckpt, records)
         feat = tmp_path / "f.ulre"
-        write_tensor_file(feat, {"features": np.ones((4, 4, 16))})
+        write_tensor_file(feat, {"features": np.ones((4, 4, 8))})
         cfg = write_config(tmp_path / "c.cfg", checkpoint=str(ckpt), features=str(feat))
         assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        want = f"{ckpt}: record 'w0' has shape (8, 16), expected (16, 8)"
+        want = (
+            f"{ckpt}: Estimator: params must be a 1-D float64 vector of 178 values "
+            "for layers [8, 16, 2], got float64 (154,)"
+        )
         assert capsys.readouterr().err == f"data error: {want}\n"
 
     def test_success_is_0(self, tmp_path):

@@ -106,19 +106,19 @@ PINNED = {
         "100f589e6daf34453a8a160f18aaff281e696ab4f0ac837e0d3aaffe1b9822d3"
     ),
     "edl/manifest.json": (
-        "447e717cb9d0b6bc9285892fddbdb745dabb604c5b2fa98d333339e1831c83b5"
+        "255b8496e7faae7e39c1a5ec34ad2cf95f87dc55fd6fb503551e9c4144df7e0d"
     ),
     "edl/model.ulre": (
-        "f8dbe62de85b8d61ec91fe80070bb93ed9535147f5dea2b128f97d954c668d76"
+        "526face7d4e1f80a639e2a4dedfabf95619baaf73e08ce6e1c32bcc6c0ecf47b"
     ),
     "edl/train_report.json": (
         "25d782207607aa8839c53c726baadb79bd5057c0c3422a1ff03bb28d66bb1648"
     ),
     "bce/manifest.json": (
-        "95872036d32dcdf7819f7062d4a64bde61a4655f700cec2df1f5330a92133425"
+        "962c9e572b88c0089b44b20ccb91f66460c0b42eeae8e2ce9b192f23d9e1c3d2"
     ),
     "bce/model.ulre": (
-        "e621ebb12988d9ec9f26b01662a34760c0d0e2af60104b9a33448168d7592d07"
+        "89006598d8f4f78583e6d55c74ebfb170564fab1e66d1faefc965ccbbad3ba57"
     ),
     "bce/train_report.json": (
         "f5d901a79e35351dc62b0fc9bc7719f4e3fd74c071be789a63f286d339016c88"

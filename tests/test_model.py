@@ -1,6 +1,8 @@
 """Estimator network: init, forward, backprop, Adam, training, inference."""
 
+import json
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -84,6 +86,8 @@ class TestInit:
             mdl.init_model([4], seed=0)
         with pytest.raises(ValueError):
             mdl.init_model([4, 0, 2], seed=0)
+        with pytest.raises(ValueError, match=r"invalid layer dims: \[4, -1, 2\]"):
+            mdl.init_model([4, -1, 2], seed=0)  # a negative parameter count
         with pytest.raises(ValueError):
             mdl.init_model([4, 8, 2], seed=0, head="softmax")
 
@@ -614,6 +618,15 @@ class TestTrain:
             mdl.Estimator([2, 2], params)
         assert mdl.Estimator([2, 2], np.zeros(6)).biases[0].shape == (2,)
 
+    def test_estimator_checks_its_architecture(self):
+        # every Estimator is valid by construction: a 3-wide last layer fits
+        # no head, whatever its parameter vector
+        size = mdl._size([4, 8, 3])
+        with pytest.raises(ValueError, match="final width 3 incompatible"):
+            mdl.Estimator([4, 8, 3], np.zeros(size), head="evidential")
+        with pytest.raises(ValueError, match="unknown head kind"):
+            mdl.Estimator([4, 8, 2], np.zeros(mdl._size([4, 8, 2])), head="softmax")
+
     def test_early_stopping_holds_no_copy_of_its_rows(self, monkeypatch):
         # the split is by index: the batches and the validation loss read
         # the caller's rows. 81,920 x 16 rows (10 MiB): the peak of one
@@ -807,12 +820,17 @@ class TestPredictMap:
 
 class TestCheckpointIo:
     def test_roundtrip_bitwise(self, tmp_path):
+        from ulre.data import read_tensor_file
+
         m = mdl.init_model([4, 8, 3, 2], seed=31)
         path = tmp_path / "model.ulre"
         mdl.save_model(path, m)
+        # the header and the parameter vector in the `_views` layout
+        assert list(read_tensor_file(path)) == ["header", "params"]
         back = mdl.load_model(path)
         assert back.layer_dims == m.layer_dims
         assert back.head == m.head
+        assert back.params.tobytes() == m.params.tobytes()
         for a, b in zip(back.weights + back.biases, m.weights + m.biases):
             np.testing.assert_array_equal(a, b)
 
@@ -820,8 +838,8 @@ class TestCheckpointIo:
         from ulre.data import DataError, write_tensor_file
 
         path = tmp_path / "bad.ulre"
-        write_tensor_file(path, {"w0": np.zeros((2, 2))})
-        with pytest.raises(DataError):
+        write_tensor_file(path, {"params": np.zeros(6)})
+        with pytest.raises(DataError, match="missing its 'header' record"):
             mdl.load_model(path)
 
     def test_missing_parameter_record(self, tmp_path):
@@ -831,9 +849,9 @@ class TestCheckpointIo:
         path = tmp_path / "model.ulre"
         mdl.save_model(path, m)
         records = read_tensor_file(path)
-        del records["w1"]
+        del records["params"]
         write_tensor_file(path, records)
-        with pytest.raises(DataError, match="w1"):
+        with pytest.raises(DataError, match="missing its 'params' record"):
             mdl.load_model(path)
 
     @pytest.mark.parametrize("key,value", [("w0", np.inf), ("b1", -np.inf), ("w1", np.nan)])
@@ -843,7 +861,43 @@ class TestCheckpointIo:
         path = tmp_path / "model.ulre"
         mdl.save_model(path, mdl.init_model([4, 8, 2], seed=32))
         records = read_tensor_file(path)
-        records[key].flat[1] = value
+        # the entry of `params` that holds the layer's second weight or bias
+        weights, biases = mdl._views(np.arange(58), [4, 8, 2])
+        layer = {"w0": weights[0], "b1": biases[1], "w1": weights[1]}[key]
+        records["params"][layer.flat[1]] = value
         write_tensor_file(path, records)
-        with pytest.raises(DataError, match=f"'{key}' holds NaN or infinite values"):
+        with pytest.raises(DataError, match="'params' holds NaN or infinite values"):
+            mdl.load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda p: p[:-1], lambda p: np.append(p, 0.0), lambda p: p.reshape(2, -1),
+         lambda p: p.astype(np.uint8)],
+        ids=["short", "long", "2-d", "u8"],
+    )
+    def test_parameter_vector_that_does_not_fit_rejected(self, tmp_path, edit):
+        from ulre.data import DataError, read_tensor_file, write_tensor_file
+
+        path = tmp_path / "model.ulre"
+        mdl.save_model(path, mdl.init_model([4, 8, 2], seed=32))  # 58 parameters
+        records = read_tensor_file(path)
+        records["params"] = edit(np.zeros(58))
+        write_tensor_file(path, records)
+        message = f"^{re.escape(str(path))}: .*1-D float64 vector of 58 values"
+        with pytest.raises(DataError, match=message):
+            mdl.load_model(path)
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        # the per-layer records of format 1 (w0, b0, ...) are not read
+        from ulre.data import DataError, write_tensor_file
+
+        m = mdl.init_model([4, 8, 2], seed=32)
+        header = {"format_version": 1, "layer_dims": [4, 8, 2], "slope": 0.01,
+                  "head": "evidential"}
+        records = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
+        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+            records[f"w{i}"], records[f"b{i}"] = w, b
+        path = tmp_path / "model.ulre"
+        write_tensor_file(path, records)
+        with pytest.raises(DataError, match="unsupported checkpoint format version 1$"):
             mdl.load_model(path)

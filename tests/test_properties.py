@@ -1,11 +1,13 @@
 """Property tests: every reader either returns its result or raises its own
 error type, whatever bytes it is given (random, truncated or mutated),
-`eval` exits 0, 2 or 3 on malformed inputs, with one error line, and every
-subcommand exits 0, 2, 3 or 4 on any one config value, with one error line
-or none."""
+`eval`, `train`, `score` and `extrapolate` exit 0, or 2 or 3 with one error
+line, on one fault in one input file, and every subcommand exits 0, 2, 3
+or 4 on any one config value, with one error line or none."""
 
 import contextlib
 import io
+import json
+import shutil
 import warnings
 
 import numpy as np
@@ -97,7 +99,7 @@ def test_read_tensor_file_returns_records_or_raises_tensor_file_error(
     path.write_bytes(data.draw(corruptions(valid[kind])))
     # a read of some of the names returns those records of a full read, or
     # raises the same error
-    names = data.draw(st.sets(st.sampled_from(["features", "labels", "empty", "header", "w0"])))
+    names = data.draw(st.sets(st.sampled_from(["features", "labels", "empty", "header", "params"])))
     try:
         records = read_tensor_file(path)
     except TensorFileError as exc:
@@ -206,6 +208,7 @@ TRAIN_FAULTS = {
     "none": 0,
     "missing record": 3,
     "rank": 3,
+    "dtype": 3,
     "non-finite": 3,
     "label shape": 3,
     "non-binary": 3,
@@ -240,6 +243,8 @@ def test_train_exits_0_or_with_one_error_line_naming_the_file(tmp_path, fault, d
         elif i == bad and fault == "rank":
             faulty = "features"
             feats = data.draw(st.sampled_from([feats[..., 0], feats[None]]))
+        elif i == bad and fault == "dtype":  # labels may be u8 or f64
+            faulty, feats = "features", np.clip(feats, 0, 255).astype(np.uint8)
         elif i == bad and fault == "non-finite":
             faulty = data.draw(st.sampled_from(["features", "labels"]))
             value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -303,6 +308,157 @@ def test_train_exits_0_or_with_one_error_line_naming_the_file(tmp_path, fault, d
         assert len(lines) == 1 and lines[0].startswith(prefix), lines
         if named is not None:
             assert str(named) in lines[0], lines
+
+
+# one fault per example, in one input file of `score` or `extrapolate`
+READ_FAULTS = {
+    "score": [
+        "none", "missing record", "rank", "dtype", "empty", "depths differ",
+        "non-finite", "other head", "params", "version",
+    ],
+}
+READ_FAULTS["extrapolate"] = READ_FAULTS["score"] + [
+    "class ids shape", "class ids set", "zero norm",
+]
+
+
+def _checkpoint(path, dims, head) -> dict:
+    """The records of a freshly initialised checkpoint, as saved."""
+    mdl.save_model(path, mdl.init_model(dims, seed=0, head=head))
+    return read_tensor_file(path)
+
+
+def _edit_header(records, **changes) -> None:
+    header = {**json.loads(bytes(records["header"])), **changes}
+    records["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "command,fault", [(c, f) for c, faults in READ_FAULTS.items() for f in faults]
+)
+@settings(PROPERTY, max_examples=8)
+@given(data=st.data())
+def test_score_and_extrapolate_exit_0_or_with_one_error_line_naming_the_file(
+    tmp_path, command, fault, data
+):
+    depth = data.draw(st.integers(1, 3))
+
+    def feature_map():
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2)))
+        # positive: no row and no class mean of zero norm, a fault of its own
+        return data.draw(
+            arrays(np.float64, (*shape, depth), elements=st.floats(0.5, 1e3))
+        )
+
+    files = {}  # config key -> the records of its file
+    if command == "score":
+        heads = {"checkpoint": data.draw(st.sampled_from(list(mdl.HEADS)))}
+        files["features"] = {"features": feature_map()}
+    else:
+        kinds = data.draw(st.sampled_from([["evidential"], ["sigmoid"], list(mdl.HEADS)]))
+        heads = {f"checkpoint_{mdl.HEADS[k].tag}": k for k in kinds}
+        feats = feature_map()
+        n_px = feats.shape[0] * feats.shape[1]
+        ids = np.arange(n_px) % data.draw(st.integers(1, n_px))  # every class present
+        files["train_features"] = {
+            "features": feats, "class_ids": ids.astype(np.uint8).reshape(feats.shape[:2])
+        }
+        files["eval_features"] = {"features": feature_map()}
+    for key, head in heads.items():
+        files[key] = _checkpoint(tmp_path / "c.ulre", [depth, 3, mdl.HEADS[head].width], head)
+
+    maps, ckpts = [k for k in files if k not in heads], list(heads)
+    where = {
+        "rank": maps + ckpts, "empty": maps, "non-finite": maps + ckpts,
+        "other head": ckpts, "params": ckpts, "version": ckpts,
+        "class ids shape": ["train_features"], "class ids set": ["train_features"],
+        "zero norm": ["train_features", "eval_features"],
+    }
+    bad = None if fault == "none" else data.draw(st.sampled_from(where.get(fault, list(files))))
+    rec = files.get(bad)
+    float_name = "params" if bad in heads else "features"  # the file's float record
+    if fault == "missing record":
+        del rec[data.draw(st.sampled_from(sorted(rec)))]
+    elif fault == "rank":
+        arr = rec[float_name]
+        rec[float_name] = data.draw(st.sampled_from([arr[None], arr[..., 0]]))
+    elif fault == "dtype":
+        name = data.draw(st.sampled_from(sorted(rec)))
+        arr = rec[name]
+        rec[name] = (
+            arr.astype(np.float64) if arr.dtype == np.uint8
+            else np.clip(arr, 0, 255).astype(np.uint8)
+        )
+    elif fault == "empty":
+        f = rec["features"]
+        rec["features"] = data.draw(st.sampled_from([f[:0], f[:, :0], f[..., :0]]))
+    elif fault == "depths differ" and bad in heads:
+        width = mdl.HEADS[heads[bad]].width
+        files[bad] = _checkpoint(tmp_path / "c.ulre", [depth + 1, 3, width], heads[bad])
+    elif fault == "depths differ":
+        f = rec["features"]
+        rec["features"] = np.concatenate([f, f[..., :1]], axis=2)
+    elif fault == "non-finite":
+        arr = rec[float_name]
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+    elif fault == "other head":
+        other = next(k for k in mdl.HEADS if k != heads[bad])
+        # extrapolate reads each head's checkpoint from its own key; score
+        # takes the head from the checkpoint, which must fit its last layer
+        if command == "extrapolate" and data.draw(st.booleans()):
+            width = mdl.HEADS[other].width
+            files[bad] = _checkpoint(tmp_path / "c.ulre", [depth, 3, width], other)
+        else:
+            _edit_header(rec, head=other)
+    elif fault == "params":
+        p = rec.pop("params")
+        how = data.draw(st.sampled_from(["missing", "short", "long", "non-finite"]))
+        if how == "short":
+            rec["params"] = p[: data.draw(st.integers(0, p.size - 1))]
+        elif how == "long":
+            rec["params"] = np.concatenate([p, np.zeros(data.draw(st.integers(1, 3)))])
+        elif how == "non-finite":
+            p[data.draw(st.integers(0, p.size - 1))] = np.nan
+            rec["params"] = p
+    elif fault == "version":
+        _edit_header(rec, format_version=data.draw(st.sampled_from([1, True, 2.0])))
+    elif fault == "class ids shape":
+        ids = rec["class_ids"]
+        h, w = ids.shape
+        rec["class_ids"] = data.draw(st.sampled_from([
+            ids[None], ids[0], np.resize(ids, (h + 1, w)), np.resize(ids, (h, w + 1))
+        ]))
+    elif fault == "class ids set":  # a class id past the last one present
+        ids = rec["class_ids"]
+        ids.flat[data.draw(st.integers(0, ids.size - 1))] = ids.max() + 2
+    elif fault == "zero norm" and bad == "train_features":  # class 0's mean
+        rec["features"][rec["class_ids"] == 0] = 0.0
+    elif fault == "zero norm":  # one row of the map
+        f = rec["features"]
+        row, col = (data.draw(st.integers(0, n - 1)) for n in f.shape[:2])
+        f[row, col] = 0.0
+
+    paths = {key: tmp_path / f"{key}.ulre" for key in files}
+    for key, records in files.items():
+        write_tensor_file(paths[key], records)
+    config = tmp_path / f"{command}.cfg"
+    extra = "out_height=4\nout_width=4\n" if command == "score" else ""  # the blur fits
+    config.write_text("".join(f"{k}={v}\n" for k, v in paths.items()) + extra)
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(config), "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    if fault == "none":
+        assert code == 0 and lines == [], lines
+        assert (out / "manifest.json").is_file()
+    else:
+        assert code == 3, lines
+        assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+        assert str(paths[bad]) in lines[0], (bad, lines)
 
 
 # Every config key takes these values, and those near its rule's edges below.
